@@ -232,7 +232,7 @@ pub(crate) fn shed_tasks(
                             0,
                             u64::from(dest.0),
                         );
-                        let n = rt.wire.send_parcel(dest, &p);
+                        let n = rt.wire.send_parcel(loc.id, dest, &p);
                         bump!(loc.counters.bytes_sent, n as u64);
                         shed += 1;
                     } else {

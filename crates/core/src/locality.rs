@@ -66,23 +66,42 @@ pub struct DataObject {
     pub version: u64,
 }
 
-/// Sleep/wake control for a locality's workers.
+/// Sleep/wake control for a locality's workers: an event count, so a
+/// wake can never fall between a worker's last empty queue scan and its
+/// sleep.
+///
+/// Every wake bumps `epoch`. A worker reads [`SleepCtl::epoch`] *before*
+/// it scans the queues, and [`SleepCtl::park`] re-checks the epoch under
+/// the lock: if any wake happened since the snapshot — the push it
+/// announced may have missed the scan — the worker skips the wait and
+/// scans again. A wake after the re-check finds `sleepers > 0` and
+/// notifies under the same lock, which the parking worker holds until
+/// it waits.
 #[derive(Debug, Default)]
 pub(crate) struct SleepCtl {
+    epoch: AtomicU64,
     sleepers: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl SleepCtl {
-    /// Park the calling worker until notified or `timeout` elapses.
-    pub(crate) fn park(&self, timeout: Duration) {
+    /// The wake count, snapshotted by a worker before it scans its queues.
+    #[inline]
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Park the calling worker until notified or `timeout` elapses — or
+    /// not at all if a wake happened since the worker read `seen` from
+    /// [`SleepCtl::epoch`]. The timeout is only a safety net.
+    pub(crate) fn park(&self, seen: u64, timeout: Duration) {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         {
             let mut g = self.lock.lock();
-            // Re-check is the caller's job (they loop); bounded park keeps
-            // shutdown and racy pushes safe without a wake protocol.
-            self.cv.wait_for(&mut g, timeout);
+            if self.epoch.load(Ordering::SeqCst) == seen {
+                self.cv.wait_for(&mut g, timeout);
+            }
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -90,6 +109,7 @@ impl SleepCtl {
     /// Wake one parked worker, if any.
     #[inline]
     pub(crate) fn wake_one(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.lock.lock();
             self.cv.notify_one();
@@ -98,6 +118,7 @@ impl SleepCtl {
 
     /// Wake every parked worker (shutdown).
     pub(crate) fn wake_all(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
         let _g = self.lock.lock();
         self.cv.notify_all();
     }
@@ -448,12 +469,29 @@ mod tests {
         let c2 = ctl.clone();
         let start = std::time::Instant::now();
         let h = std::thread::spawn(move || {
-            c2.park(Duration::from_secs(5));
+            c2.park(c2.epoch(), Duration::from_secs(5));
         });
         // Give the thread time to park, then wake it well before timeout.
         std::thread::sleep(Duration::from_millis(20));
         ctl.wake_all();
         h.join().unwrap();
         assert!(start.elapsed() < Duration::from_secs(4));
+    }
+
+    /// The lost-wakeup window: a wake that lands after the worker's
+    /// snapshot (its queue scan came back empty) but before it parks must
+    /// not be slept through.
+    #[test]
+    fn wake_between_snapshot_and_park_is_not_lost() {
+        let ctl = SleepCtl::default();
+        let seen = ctl.epoch();
+        ctl.wake_one();
+        let start = std::time::Instant::now();
+        ctl.park(seen, Duration::from_secs(5));
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "park slept through a wake: {:?}",
+            start.elapsed()
+        );
     }
 }

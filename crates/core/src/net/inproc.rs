@@ -9,7 +9,7 @@
 //! identical queue discipline, zero added bytes.
 
 use super::delay::DelayLine;
-use super::{Transport, TransportSubmitter, WireModel, WireMsg};
+use super::{Transport, WireModel, WireMsg};
 use crate::locality::Locality;
 use crate::sched::Task;
 use std::sync::Arc;
@@ -96,27 +96,6 @@ impl Transport for InProcTransport {
         self.line.send(Stamped { msg, submitted }, bytes);
     }
 
-    fn submitter(&self) -> TransportSubmitter {
-        // Bind directly to the delay thread (or the inline sink on an
-        // instant model) so the flusher shares the line's delay
-        // arithmetic. The `LineSender` keeps the delay channel open; the
-        // wire joins the flusher — the only holder — before `shutdown`.
-        let metrics_on = self.metrics_on;
-        match self.line.sender() {
-            Some(sender) => Arc::new(move |msg, bytes| {
-                let submitted = Self::stamp(metrics_on);
-                sender.send(Stamped { msg, submitted }, bytes)
-            }) as TransportSubmitter,
-            None => {
-                let sink = self.line.sink();
-                Arc::new(move |msg, _bytes| {
-                    let submitted = Self::stamp(metrics_on);
-                    sink(Stamped { msg, submitted })
-                }) as TransportSubmitter
-            }
-        }
-    }
-
     fn model(&self) -> WireModel {
         self.line.model()
     }
@@ -126,6 +105,10 @@ impl Transport for InProcTransport {
         // per-message transport cost to amortize, and no delay thread to
         // ride); the policy check upstream keeps the pre-refactor gating.
         !self.line.model().is_instant()
+    }
+
+    fn threads(&self) -> Vec<String> {
+        self.line.threads()
     }
 
     fn shutdown(&mut self) {

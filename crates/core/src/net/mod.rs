@@ -6,8 +6,8 @@
 //! ```text
 //!  send_parcel ──► PortSet (per-dest coalescing) ──► Transport::submit
 //!                       ▲                                 │
-//!                  flusher thread                  ┌──────┴───────┐
-//!                                                  ▼              ▼
+//!            sending worker flushes when idle      ┌──────┴───────┐
+//!            (or its hold reaches flush_interval)  ▼              ▼
 //!                                           InProcTransport  TcpTransport
 //!                                           (DelayLine +     (sockets, one
 //!                                            queue pushes)    peer/process)
@@ -93,11 +93,25 @@
 //! sender-visible destination gets a **port**: a coalescing
 //! [`px_wire::FrameBuf`] into which parcels are encoded *in place*. A
 //! port flushes its frame as one wire message when it reaches
-//! `max_batch_parcels` records or `max_batch_bytes` bytes, or when the
-//! background flusher finds records older than `flush_interval`. The
-//! in-process delay model is applied per frame (`delay_for(frame_bytes)`),
-//! so the latency and bandwidth arithmetic stays honest while the fixed
-//! per-message costs amortize across the batch.
+//! `max_batch_parcels` records or `max_batch_bytes` bytes. Otherwise
+//! frames ship by **natural batching** — no thread polls the ports:
+//!
+//! * a worker that pushes into a port marks it dirty, and flushes its
+//!   dirty ports when it runs out of work, before it parks. A busy
+//!   worker also flushes them at a task boundary once it has held them
+//!   for `flush_interval`. A burst a worker sends in one task therefore
+//!   coalesces, and the last parcel before an idle gap ships at once;
+//! * a push from any other thread (`Runtime::send_action`, the
+//!   balancer) that turns an empty port non-empty marks the wire dirty
+//!   and wakes a worker of the sending locality, which flushes on its
+//!   idle path (or at a task boundary after `flush_interval` if every
+//!   worker is busy). Pushes that land while the wake is in flight join
+//!   the same frame.
+//!
+//! The in-process delay model is applied per frame
+//! (`delay_for(frame_bytes)`), so the latency and bandwidth arithmetic
+//! stays honest while the fixed per-message costs amortize across the
+//! batch.
 //!
 //! Ordering: under a pure-latency model, parcels to the same destination
 //! stay in submission order within and across frames (frames ride the
@@ -109,10 +123,11 @@
 //!   small frame submitted after a large one can overtake it at a frame
 //!   boundary (the old wire had the same property per *parcel*);
 //! * direct task transfers (`spawn_at` closures) do not pass through the
-//!   ports — a task sent after a still-coalescing parcel can arrive up
-//!   to `flush_interval` earlier. Code that needs a parcel's effects
-//!   visible to a subsequently spawned closure must sequence through an
-//!   LCO, not through submission order.
+//!   ports — a task sent after a still-coalescing parcel can overtake
+//!   it, since the parcel waits for its sender to go idle (at most
+//!   `flush_interval` plus one task while the sender stays busy). Code
+//!   that needs a parcel's effects visible to a subsequently spawned
+//!   closure must sequence through an LCO, not through submission order.
 //!
 //! Over TCP both relaxations hold trivially (the network reorders
 //! nothing per connection, but frames and single parcels share one
@@ -137,11 +152,11 @@ use crate::locality::Locality;
 use crate::parcel::Parcel;
 use crate::sched::Task;
 use crate::stats::{bump, TransportStats};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use px_wire::FrameBuf;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Latency/bandwidth model for the in-process wire.
@@ -197,8 +212,8 @@ pub struct BatchPolicy {
     pub max_batch_parcels: usize,
     /// Flush a port when its frame reaches this many bytes.
     pub max_batch_bytes: usize,
-    /// Maximum time a parcel may wait in a port before the background
-    /// flusher ships it.
+    /// Maximum time a parcel may wait in a port while its sending worker
+    /// stays busy (an idle worker ships at once).
     pub flush_interval: Duration,
 }
 
@@ -288,11 +303,6 @@ pub(crate) enum WireMsg {
     },
 }
 
-/// Cloneable submission handle onto a transport, handed to background
-/// threads (the port flusher) so they can ship frames without owning the
-/// backend. Dropped before the transport shuts down.
-pub(crate) type TransportSubmitter = Arc<dyn Fn(WireMsg, usize) + Send + Sync + 'static>;
-
 /// The backend seam of the wire layer. See the module docs for the full
 /// contract (loud failure, queue discipline, deferred fault delivery,
 /// flush-on-shutdown).
@@ -300,10 +310,6 @@ pub(crate) trait Transport: Send + Sync {
     /// Deliver `msg` toward its destination, charging `bytes` logical
     /// bytes to whatever latency/bandwidth physics the backend has.
     fn submit(&self, msg: WireMsg, bytes: usize);
-
-    /// A cloneable submission handle for background threads. Must remain
-    /// harmless (silent no-op) if used after `shutdown`.
-    fn submitter(&self) -> TransportSubmitter;
 
     /// The injected latency/bandwidth model ([`WireModel::instant`] for
     /// backends with real physics, i.e. TCP).
@@ -330,8 +336,11 @@ pub(crate) trait Transport: Send + Sync {
         TransportStats::default()
     }
 
+    /// Names of the OS threads the backend owns (while it runs).
+    fn threads(&self) -> Vec<String>;
+
     /// Stop background threads, flushing or loudly killing pending
-    /// messages first. Called with the port flusher already joined.
+    /// messages first. Called with the ports already drained.
     fn shutdown(&mut self);
 }
 
@@ -340,14 +349,10 @@ pub(crate) trait Transport: Send + Sync {
 enum FlushCause {
     /// Hit `max_batch_parcels` or `max_batch_bytes`.
     Full,
-    /// Aged out by the background flusher (or a shutdown drain).
-    Timer,
-}
-
-/// One coalescing queue: pending frame plus the age of its oldest record.
-struct Port {
-    frame: FrameBuf,
-    opened_at: Option<Instant>,
+    /// Shipped before it was full: its sending worker went idle or held
+    /// it for `flush_interval`, a non-worker push woke a worker to sweep
+    /// the ports, or shutdown drained it.
+    Partial,
 }
 
 /// Per-destination coalescing ports. Index = `dest * 2 + staged`, so
@@ -355,7 +360,12 @@ struct Port {
 /// frame is homogeneous in its delivery queue.
 pub(crate) struct PortSet {
     policy: BatchPolicy,
-    ports: Vec<Mutex<Port>>,
+    ports: Vec<Mutex<FrameBuf>>,
+    /// Set when a push from a non-worker thread turns an empty port
+    /// non-empty, to the push's time in ns since `born`, plus one; 0
+    /// when no such push waits. Workers sweep every port when it is set.
+    external: AtomicU64,
+    born: Instant,
 }
 
 impl PortSet {
@@ -363,20 +373,54 @@ impl PortSet {
         PortSet {
             policy,
             ports: (0..localities * 2)
-                .map(|_| {
-                    Mutex::new(Port {
-                        frame: FrameBuf::with_version(frame_version),
-                        opened_at: None,
-                    })
-                })
+                .map(|_| Mutex::new(FrameBuf::with_version(frame_version)))
                 .collect(),
+            external: AtomicU64::new(0),
+            born: Instant::now(),
         }
     }
 
+    /// Identity of this port set, for matching a worker to its wire.
     #[inline]
-    fn port(&self, dest: LocalityId, staged: bool) -> &Mutex<Port> {
-        &self.ports[dest.0 as usize * 2 + staged as usize]
+    fn id(&self) -> usize {
+        self as *const PortSet as usize
     }
+}
+
+/// The ports a worker thread pushed into since its last flush. `wire` is
+/// the [`PortSet::id`] of the wire the thread works for (0 on threads
+/// that are not workers).
+struct WorkerPorts {
+    wire: usize,
+    dirty: Vec<usize>,
+    /// When the first of `dirty` was marked.
+    since: Option<Instant>,
+}
+
+thread_local! {
+    static WORKER_PORTS: RefCell<WorkerPorts> = const {
+        RefCell::new(WorkerPorts {
+            wire: 0,
+            dirty: Vec::new(),
+            since: None,
+        })
+    };
+}
+
+/// Mark port `idx` dirty if the calling thread is a worker of `wire`.
+/// Returns false on any other thread.
+fn mark_dirty(wire: usize, idx: usize) -> bool {
+    WORKER_PORTS.with(|w| {
+        let mut w = w.borrow_mut();
+        if w.wire != wire {
+            return false;
+        }
+        if !w.dirty.contains(&idx) {
+            w.dirty.push(idx);
+        }
+        w.since.get_or_insert_with(Instant::now);
+        true
+    })
 }
 
 /// The runtime's wire: coalescing ports in front of a `Transport`
@@ -384,10 +428,9 @@ impl PortSet {
 /// sockets across OS processes).
 pub(crate) struct Wire {
     transport: Box<dyn Transport>,
-    ports: Option<Arc<PortSet>>,
+    /// Boxed so [`PortSet::id`] is stable however the wire moves.
+    ports: Option<Box<PortSet>>,
     localities: Arc<Vec<Arc<Locality>>>,
-    flusher_stop: Option<Sender<()>>,
-    flusher: Option<JoinHandle<()>>,
 }
 
 impl Wire {
@@ -401,40 +444,23 @@ impl Wire {
     ) -> Wire {
         let batching = policy.is_batching() && transport.supports_batching();
         let ports = batching.then(|| {
-            Arc::new(PortSet::new(
+            Box::new(PortSet::new(
                 policy,
                 localities.len(),
                 transport.frame_version(),
             ))
         });
-        let (flusher_stop, flusher) = match &ports {
-            None => (None, None),
-            Some(ports) => {
-                let (stop_tx, stop_rx) = bounded::<()>(1);
-                let handle = {
-                    let ports = ports.clone();
-                    let localities = localities.clone();
-                    let submit = transport.submitter();
-                    std::thread::Builder::new()
-                        .name("px-port-flusher".into())
-                        .spawn(move || flusher_loop(ports, localities, submit, stop_rx))
-                        .expect("spawn port-flusher thread")
-                };
-                (Some(stop_tx), Some(handle))
-            }
-        };
         Wire {
             transport,
             ports,
             localities,
-            flusher_stop,
-            flusher,
         }
     }
 
-    /// Encode and submit one parcel toward `dest`, batching according to
-    /// the policy. Returns the parcel's encoded size for accounting.
-    pub(crate) fn send_parcel(&self, dest: LocalityId, p: &Parcel) -> usize {
+    /// Encode and submit one parcel from `from` toward `dest`, batching
+    /// according to the policy. Returns the parcel's encoded size for
+    /// accounting.
+    pub(crate) fn send_parcel(&self, from: LocalityId, dest: LocalityId, p: &Parcel) -> usize {
         let Some(ports) = &self.ports else {
             // Unbatched path: identical to the pre-batching wire.
             let bytes = p.encode();
@@ -449,27 +475,25 @@ impl Wire {
             );
             return n;
         };
-        let dest_loc = &self.localities[dest.0 as usize];
-        let mut port = ports.port(dest, p.staged).lock();
-        if port.frame.is_empty() {
-            port.opened_at = Some(Instant::now());
-        }
+        let idx = dest.0 as usize * 2 + p.staged as usize;
+        let mut frame = ports.ports[idx].lock();
+        let was_empty = frame.is_empty();
         // Report the record's full wire footprint (parcel + length
         // prefix) so `bytes_sent` tracks what the delay model charges; of
         // the frame, only the fixed 5-byte header goes unattributed.
-        let n = port.frame.push_record_with(|w| p.encode_into(w)) + px_wire::RECORD_HEADER_LEN;
+        let n = frame.push_record_with(|w| p.encode_into(w)) + px_wire::RECORD_HEADER_LEN;
         let policy = &ports.policy;
-        if port.frame.record_count() as usize >= policy.max_batch_parcels
-            || port.frame.len() >= policy.max_batch_bytes
+        if frame.record_count() as usize >= policy.max_batch_parcels
+            || frame.len() >= policy.max_batch_bytes
         {
-            flush_port(
-                &mut port,
-                dest,
-                p.staged,
-                FlushCause::Full,
-                dest_loc,
-                |msg, bytes| self.transport.submit(msg, bytes),
-            );
+            self.flush_frame(&mut frame, idx, FlushCause::Full);
+        } else if !mark_dirty(ports.id(), idx) && was_empty {
+            let at = ports.born.elapsed().as_nanos() as u64 + 1;
+            let _ = ports
+                .external
+                .compare_exchange(0, at, Ordering::SeqCst, Ordering::SeqCst);
+            drop(frame);
+            self.localities[from.0 as usize].sleep.wake_one();
         }
         n
     }
@@ -496,110 +520,120 @@ impl Wire {
         self.transport.transport_stats()
     }
 
-    /// Drain every port (shutdown, or tests that need determinism).
-    pub(crate) fn flush_all(&self) {
+    /// Names of the OS threads the wire owns (its backend's).
+    pub(crate) fn threads(&self) -> Vec<String> {
+        self.transport.threads()
+    }
+
+    /// Make the calling thread a worker of this wire: its pushes mark
+    /// ports dirty for [`Wire::flush_idle`] instead of waking a worker.
+    pub(crate) fn enter_worker(&self) {
         if let Some(ports) = &self.ports {
-            flush_aged(ports, &self.localities, Duration::ZERO, |msg, bytes| {
-                self.transport.submit(msg, bytes)
-            });
+            WORKER_PORTS.with(|w| w.borrow_mut().wire = ports.id());
         }
     }
 
-    /// Stop the flusher, drain the ports, stop the transport.
-    pub(crate) fn shutdown(&mut self) {
-        self.flusher_stop = None; // closing the channel stops the flusher
-        if let Some(h) = self.flusher.take() {
-            let _ = h.join();
+    /// A worker's idle path, before it parks: ship the ports it dirtied
+    /// and, if a non-worker push is waiting, every port.
+    pub(crate) fn flush_idle(&self) {
+        let Some(ports) = &self.ports else { return };
+        self.flush_dirty(ports);
+        if ports.external.load(Ordering::SeqCst) != 0 {
+            self.flush_external(ports);
         }
+    }
+
+    /// A worker's task boundary: ship what it dirtied, and what
+    /// non-worker pushes left waiting, once held for `flush_interval`.
+    pub(crate) fn flush_aged(&self, now: Instant) {
+        let Some(ports) = &self.ports else { return };
+        let interval = ports.policy.flush_interval;
+        let aged = WORKER_PORTS.with(|w| {
+            w.borrow()
+                .since
+                .is_some_and(|t| now.saturating_duration_since(t) >= interval)
+        });
+        if aged {
+            self.flush_dirty(ports);
+        }
+        let at = ports.external.load(Ordering::SeqCst);
+        if at != 0 {
+            // The push may postdate `now`: saturate to "not yet aged".
+            let now_at = now.saturating_duration_since(ports.born).as_nanos() as u64 + 1;
+            if now_at.saturating_sub(at) >= interval.as_nanos() as u64 {
+                self.flush_external(ports);
+            }
+        }
+    }
+
+    /// Drain every port (shutdown, or tests that need determinism).
+    pub(crate) fn flush_all(&self) {
+        if let Some(ports) = &self.ports {
+            for (idx, slot) in ports.ports.iter().enumerate() {
+                self.flush_frame(&mut slot.lock(), idx, FlushCause::Partial);
+            }
+        }
+    }
+
+    /// Drain the ports, stop the transport.
+    pub(crate) fn shutdown(&mut self) {
         self.flush_all();
         self.transport.shutdown();
+    }
+
+    /// Ship every port the calling worker dirtied.
+    fn flush_dirty(&self, ports: &PortSet) {
+        let mut dirty = WORKER_PORTS.with(|w| {
+            let mut w = w.borrow_mut();
+            w.since = None;
+            std::mem::take(&mut w.dirty)
+        });
+        for idx in dirty.drain(..) {
+            self.flush_frame(&mut ports.ports[idx].lock(), idx, FlushCause::Partial);
+        }
+        // Hand the (now empty) list back to keep its allocation.
+        WORKER_PORTS.with(|w| w.borrow_mut().dirty = dirty);
+    }
+
+    /// Clear the external mark, then ship every port: a push after the
+    /// clear that finds its port empty sets the mark again.
+    fn flush_external(&self, ports: &PortSet) {
+        ports.external.store(0, Ordering::SeqCst);
+        self.flush_all();
+    }
+
+    /// Flush port `idx`'s frame as a wire message (no-op when empty).
+    fn flush_frame(&self, frame: &mut FrameBuf, idx: usize, cause: FlushCause) {
+        if frame.is_empty() {
+            return;
+        }
+        let dest = LocalityId((idx / 2) as u16);
+        let dest_loc = &self.localities[dest.0 as usize];
+        let records = u64::from(frame.record_count());
+        let bytes = frame.take();
+        bump!(dest_loc.counters.frames_sent);
+        // Counted at flush, under the port lock, so coalesced_parcels and
+        // frames_sent advance together and their ratio never exceeds the cap.
+        bump!(dest_loc.counters.coalesced_parcels, records - 1);
+        match cause {
+            FlushCause::Full => bump!(dest_loc.counters.batch_flush_full),
+            FlushCause::Partial => bump!(dest_loc.counters.batch_flush_timer),
+        }
+        let n = bytes.len();
+        self.transport.submit(
+            WireMsg::Frame {
+                dest,
+                staged: idx % 2 == 1,
+                bytes,
+            },
+            n,
+        );
     }
 }
 
 impl Drop for Wire {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Flush one port's frame as a wire message (no-op when empty).
-fn flush_port(
-    port: &mut Port,
-    dest: LocalityId,
-    staged: bool,
-    cause: FlushCause,
-    dest_loc: &Locality,
-    submit: impl FnOnce(WireMsg, usize),
-) {
-    if port.frame.is_empty() {
-        return;
-    }
-    let records = u64::from(port.frame.record_count());
-    let bytes = port.frame.take();
-    port.opened_at = None;
-    bump!(dest_loc.counters.frames_sent);
-    // Counted at flush, under the port lock, so coalesced_parcels and
-    // frames_sent advance together and their ratio never exceeds the cap.
-    bump!(dest_loc.counters.coalesced_parcels, records - 1);
-    match cause {
-        FlushCause::Full => bump!(dest_loc.counters.batch_flush_full),
-        FlushCause::Timer => bump!(dest_loc.counters.batch_flush_timer),
-    }
-    let n = bytes.len();
-    submit(
-        WireMsg::Frame {
-            dest,
-            staged,
-            bytes,
-        },
-        n,
-    );
-}
-
-/// Flush every port whose oldest record is older than `min_age`.
-fn flush_aged(
-    ports: &PortSet,
-    localities: &[Arc<Locality>],
-    min_age: Duration,
-    mut submit: impl FnMut(WireMsg, usize),
-) {
-    for (idx, slot) in ports.ports.iter().enumerate() {
-        let dest = LocalityId((idx / 2) as u16);
-        let staged = idx % 2 == 1;
-        let mut port = slot.lock();
-        let aged = port.opened_at.is_some_and(|t0| t0.elapsed() >= min_age);
-        if aged {
-            flush_port(
-                &mut port,
-                dest,
-                staged,
-                FlushCause::Timer,
-                &localities[dest.0 as usize],
-                &mut submit,
-            );
-        }
-    }
-}
-
-/// Background flusher honoring `flush_interval`: wakes at half the
-/// interval and ships any frame whose oldest parcel has waited too long.
-fn flusher_loop(
-    ports: Arc<PortSet>,
-    localities: Arc<Vec<Arc<Locality>>>,
-    submit: TransportSubmitter,
-    stop_rx: Receiver<()>,
-) {
-    let interval = ports.policy.flush_interval;
-    let tick = (interval / 2).clamp(Duration::from_micros(20), Duration::from_millis(10));
-    loop {
-        match stop_rx.recv_timeout(tick) {
-            Err(RecvTimeoutError::Timeout) => {
-                flush_aged(&ports, &localities, interval, |msg, bytes| {
-                    submit(msg, bytes)
-                });
-            }
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-        }
     }
 }
 
@@ -679,7 +713,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..8 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(0), LocalityId(1), &p);
         }
         // Two full frames of four parcels each. Accumulate across polls:
         // the delay thread may deliver the frames on either side of a
@@ -721,7 +755,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..4 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(0), LocalityId(1), &p);
         }
         let t0 = Instant::now();
         loop {
@@ -735,38 +769,123 @@ mod tests {
         assert!(locs[1].counters.batch_flush_full.load(Ordering::Relaxed) >= 1);
     }
 
-    #[test]
-    fn flusher_ships_stragglers() {
-        let locs = test_localities(2);
-        let wire = test_wire(
-            WireModel::with_latency(Duration::from_micros(10)),
-            &locs,
-            BatchPolicy {
-                max_batch_parcels: 1000,
-                max_batch_bytes: usize::MAX,
-                flush_interval: Duration::from_micros(200),
-            },
-        );
-        let p = noop_parcel(LocalityId(1));
-        wire.send_parcel(LocalityId(1), &p);
+    // ---- natural batching (no flusher thread) ------------------------------
+
+    /// A 2-locality in-process runtime, one worker each, batching behind
+    /// a 10 µs delay line.
+    fn batched_runtime(flush_interval: Duration) -> crate::runtime::Runtime {
+        let mut cfg = crate::runtime::Config::small(2, 1)
+            .with_max_batch_parcels(64)
+            .with_flush_interval(flush_interval);
+        cfg.wire = WireModel::with_latency(Duration::from_micros(10));
+        crate::runtime::RuntimeBuilder::new(cfg).build().unwrap()
+    }
+
+    /// Block until `n` parcels have executed at `loc`, or `bound` passes.
+    fn await_recv(loc: &Locality, n: u64, bound: Duration) {
         let t0 = Instant::now();
-        loop {
-            let (tasks, parcels) = drain_count(&locs[1]);
-            if tasks > 0 {
-                assert_eq!(parcels, 1);
-                break;
-            }
+        while loc.counters.parcels_recv.load(Ordering::Relaxed) < n {
             assert!(
-                t0.elapsed() < Duration::from_secs(5),
-                "straggler never flushed"
+                t0.elapsed() < bound,
+                "{n} parcel(s) not delivered within {bound:?}"
             );
             std::thread::sleep(Duration::from_micros(100));
         }
-        assert_eq!(
-            locs[1].counters.batch_flush_timer.load(Ordering::Relaxed),
-            1
+    }
+
+    #[test]
+    fn worker_burst_coalesces_into_few_frames() {
+        let rt = batched_runtime(Duration::from_secs(10));
+        rt.spawn_at(LocalityId(0), |ctx| {
+            for _ in 0..40 {
+                ctx.send_parcel(noop_parcel(LocalityId(1)));
+            }
+        });
+        let l1 = &rt.inner().localities[1];
+        await_recv(l1, 40, Duration::from_secs(5));
+        let frames = l1.counters.frames_sent.load(Ordering::Relaxed);
+        assert!(frames < 40, "40 parcels took {frames} frames");
+        assert_eq!(l1.counters.batch_flush_full.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn lone_worker_parcel_ships_when_its_worker_idles() {
+        // The interval is far beyond the bound: only the idle flush can
+        // ship the parcel in time.
+        let rt = batched_runtime(Duration::from_secs(10));
+        rt.spawn_at(LocalityId(0), |ctx| {
+            ctx.send_parcel(noop_parcel(LocalityId(1)));
+        });
+        let l1 = &rt.inner().localities[1];
+        await_recv(l1, 1, Duration::from_secs(2));
+        assert_eq!(l1.counters.frames_sent.load(Ordering::Relaxed), 1);
+        assert_eq!(l1.counters.batch_flush_timer.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn lone_external_parcel_ships_without_other_traffic() {
+        let rt = batched_runtime(Duration::from_secs(10));
+        // From the test thread — not a worker — so the push wakes one.
+        rt.inner()
+            .send_parcel(LocalityId(0), noop_parcel(LocalityId(1)));
+        let l1 = &rt.inner().localities[1];
+        await_recv(l1, 1, Duration::from_secs(2));
+        assert_eq!(l1.counters.frames_sent.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn busy_worker_ships_within_flush_interval_plus_one_task() {
+        const INTERVAL: Duration = Duration::from_millis(20);
+        const TASK: Duration = Duration::from_millis(2);
+        const TASKS: usize = 100; // a 200 ms backlog
+        /// One backlog task: spin for `TASK`, log (start, frames shipped
+        /// toward L1 so far), then queue the next on the same worker.
+        fn backlog(
+            ctx: &mut crate::runtime::Ctx<'_>,
+            left: usize,
+            l1: Arc<Locality>,
+            log: Arc<Mutex<Vec<(Instant, u64)>>>,
+            done: crossbeam::channel::Sender<()>,
+        ) {
+            let start = Instant::now();
+            while start.elapsed() < TASK {
+                std::hint::spin_loop();
+            }
+            let frames = l1.counters.frames_sent.load(Ordering::Relaxed);
+            log.lock().push((start, frames));
+            if left == 0 {
+                let _ = done.send(());
+            } else {
+                ctx.spawn(move |c| backlog(c, left - 1, l1, log, done));
+            }
+        }
+        let rt = batched_runtime(INTERVAL);
+        let l1 = rt.inner().localities[1].clone();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        let (sent_tx, sent_rx) = crossbeam::channel::bounded(1);
+        let (l1c, logc) = (l1.clone(), log.clone());
+        rt.spawn_at(LocalityId(0), move |ctx| {
+            ctx.send_parcel(noop_parcel(LocalityId(1)));
+            let _ = sent_tx.send(Instant::now());
+            ctx.spawn(move |c| backlog(c, TASKS, l1c, logc, done_tx));
+        });
+        let sent = sent_rx.recv().unwrap();
+        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let log = log.lock();
+        let (first_seen, _) = *log
+            .iter()
+            .find(|(_, frames)| *frames > 0)
+            .expect("the port never shipped while its worker stayed busy");
+        // The frame ships at the first task boundary past the interval,
+        // so the task that first sees it starts within interval + one
+        // task (plus scheduler slack) of the send.
+        let lag = first_seen.duration_since(sent);
+        assert!(
+            lag <= INTERVAL + TASK + Duration::from_millis(30),
+            "dirty port held {lag:?} by a busy worker"
         );
-        drop(wire);
+        await_recv(&l1, 1, Duration::from_secs(2));
     }
 
     #[test]
@@ -783,7 +902,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..3 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(0), LocalityId(1), &p);
         }
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
@@ -806,8 +925,8 @@ mod tests {
         let plain = noop_parcel(LocalityId(1));
         let mut staged = noop_parcel(LocalityId(1));
         staged.staged = true;
-        wire.send_parcel(LocalityId(1), &plain);
-        wire.send_parcel(LocalityId(1), &staged);
+        wire.send_parcel(LocalityId(0), LocalityId(1), &plain);
+        wire.send_parcel(LocalityId(0), LocalityId(1), &staged);
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
         assert_eq!((tasks, parcels), (1, 1), "plain frame in the injector");
@@ -827,7 +946,7 @@ mod tests {
             BatchPolicy::single(),
         );
         let p = noop_parcel(LocalityId(1));
-        let n = wire.send_parcel(LocalityId(1), &p);
+        let n = wire.send_parcel(LocalityId(0), LocalityId(1), &p);
         assert_eq!(n, p.encode().len());
         wire.shutdown();
         let (tasks, parcels) = drain_count(&locs[1]);
@@ -857,7 +976,7 @@ mod tests {
         );
         let p = noop_parcel(LocalityId(1));
         for _ in 0..3 {
-            wire.send_parcel(LocalityId(1), &p);
+            wire.send_parcel(LocalityId(0), LocalityId(1), &p);
         }
         wire.shutdown();
         let mut expected = px_wire::FrameBuf::new();

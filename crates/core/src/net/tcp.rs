@@ -88,7 +88,7 @@
 //! submission with the same transport fault; distributed work moves via
 //! action parcels, as the model intends.
 
-use super::{Transport, TransportSubmitter, WireModel, WireMsg};
+use super::{Transport, WireModel, WireMsg};
 use crate::action::ActionId;
 use crate::error::{Fault, FaultCause, PxError, PxResult};
 use crate::gid::{Gid, LocalityId};
@@ -637,11 +637,6 @@ impl Transport for TcpTransport {
         self.shared.submit(msg);
     }
 
-    fn submitter(&self) -> TransportSubmitter {
-        let shared = self.shared.clone();
-        Arc::new(move |msg, _bytes| shared.submit(msg))
-    }
-
     fn model(&self) -> WireModel {
         // The network's physics are real; nothing is injected.
         WireModel::instant()
@@ -687,6 +682,13 @@ impl Transport for TcpTransport {
                 })
                 .collect(),
         }
+    }
+
+    fn threads(&self) -> Vec<String> {
+        self.io
+            .iter()
+            .filter_map(|h| h.thread().name().map(str::to_owned))
+            .collect()
     }
 
     fn shutdown(&mut self) {
@@ -1718,18 +1720,10 @@ mod tests {
 
     /// The tentpole invariant at transport level: the whole backend adds
     /// exactly ONE thread per rank, however many peers the mesh has.
+    /// Each transport reports the threads it owns, so sibling tests in
+    /// the same process cannot skew the count.
     #[test]
     fn io_thread_count_is_flat_in_peers() {
-        fn count_px_tcp_threads() -> usize {
-            let tasks = std::fs::read_dir("/proc/self/task").expect("linux procfs");
-            tasks
-                .filter_map(|t| {
-                    let comm = t.ok()?.path().join("comm");
-                    let name = std::fs::read_to_string(comm).ok()?;
-                    name.starts_with("px-tcp").then_some(())
-                })
-                .count()
-        }
         // 4-rank mesh, all in this process (4 transports x 1 I/O thread).
         let n = 4;
         let addrs = free_addrs(n);
@@ -1745,13 +1739,16 @@ mod tests {
         for h in handles {
             transports.push(h.join().unwrap());
         }
-        assert_eq!(
-            count_px_tcp_threads(),
-            n,
-            "one I/O thread per rank, zero per peer"
-        );
+        for t in &transports {
+            assert_eq!(
+                t.threads(),
+                ["px-tcp-io"],
+                "one I/O thread per rank, zero per peer"
+            );
+        }
         for mut t in transports {
             t.shutdown();
+            assert!(t.threads().is_empty(), "shutdown joins the I/O thread");
         }
     }
 }

@@ -341,7 +341,7 @@ impl ProcessRef {
         }
         let mut p = Parcel::new(target, A::id(), Value::encode(&args)?, cont);
         p.process = Some(self.gid);
-        inner.send_parcel(LocalityId(0), p);
+        inner.send_parcel(inner.origin, p);
         Ok(())
     }
 

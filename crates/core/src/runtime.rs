@@ -1,8 +1,10 @@
 //! The runtime: configuration, boot, the PX-thread context API, and the
 //! external driver API.
 //!
-//! A [`Runtime`] owns `localities × workers` OS threads plus (when the
-//! wire model is not instant) one delay-line thread. It is built once via
+//! A [`Runtime`] owns `localities × workers` OS threads plus at most one
+//! wire thread (the delay line of a non-instant in-process wire, or the
+//! TCP I/O loop) and, with the balancer on, its pulse thread —
+//! [`Runtime::owned_threads`] lists them. It is built once via
 //! [`RuntimeBuilder`] — the action registry freezes at build so parcel
 //! dispatch never locks — and torn down with [`Runtime::shutdown`] (or on
 //! drop).
@@ -704,6 +706,23 @@ impl Runtime {
     /// The active wire model.
     pub fn wire_model(&self) -> WireModel {
         self.inner.wire.model()
+    }
+
+    /// Names of the OS threads this runtime owns and has not yet joined:
+    /// its workers, the balancer pulse if on, and the wire's backend
+    /// threads (the delay line in-process, the I/O loop over TCP).
+    pub fn owned_threads(&self) -> Vec<String> {
+        let name = |h: &JoinHandle<()>| h.thread().name().map(str::to_owned);
+        let mut names: Vec<String> = self
+            .joins
+            .lock()
+            .iter()
+            .flatten()
+            .filter_map(name)
+            .collect();
+        names.extend(self.balancer.lock().iter().filter_map(|(_, h)| name(h)));
+        names.extend(self.inner.wire.threads());
+        names
     }
 
     /// Snapshot all locality counters.

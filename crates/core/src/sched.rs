@@ -126,8 +126,9 @@ pub mod sys {
 /// between migration and in-flight parcels; real losses are user bugs).
 const MAX_HOPS: u8 = 16;
 
-/// How long an idle worker sleeps before re-polling (bounds shutdown and
-/// racy-push latency; explicit wakes make the common case prompt).
+/// How long an idle worker sleeps before re-polling. Only a safety net:
+/// wakes cannot be lost (`SleepCtl` is an event count), so every push
+/// and shutdown ends a park promptly.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
 pub(crate) enum Work {
@@ -264,8 +265,10 @@ pub(crate) fn worker_main(
     local: Worker<Task>,
 ) {
     let loc = rt.localities[loc_idx].clone();
+    rt.wire.enter_worker();
     let mut search_started = Instant::now();
     loop {
+        let seen = loc.sleep.epoch();
         match find_task(&loc, &local, worker_idx) {
             Some(task) => {
                 let found = Instant::now();
@@ -279,14 +282,18 @@ pub(crate) fn worker_main(
                     loc.counters.busy_ns,
                     done.duration_since(found).as_nanos() as u64
                 );
+                rt.wire.flush_aged(done);
                 search_started = done;
             }
             None => {
+                // Natural batching: out of work, so ship what this
+                // worker coalesced before sleeping on it.
+                rt.wire.flush_idle();
                 if rt.shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 bump!(loc.counters.parks);
-                loc.sleep.park(PARK_TIMEOUT);
+                loc.sleep.park(seen, PARK_TIMEOUT);
                 // Flush idle incrementally so starved workers (no further
                 // tasks before shutdown) still report their idle time.
                 let now = Instant::now();
@@ -1597,7 +1604,7 @@ impl RuntimeInner {
         // the parcel alone or coalesces it into the destination's port
         // frame (see `net::BatchPolicy`); either way it reports the
         // encoded size for accounting.
-        let n = self.wire.send_parcel(owner, &p);
+        let n = self.wire.send_parcel(from, owner, &p);
         bump!(from_loc.counters.bytes_sent, n as u64);
     }
 

@@ -54,7 +54,9 @@ pub struct LocalityCounters {
     pub coalesced_parcels: AtomicU64,
     /// Frames flushed because they hit `max_batch_parcels`/`max_batch_bytes`.
     pub batch_flush_full: AtomicU64,
-    /// Frames flushed by the interval flusher or a shutdown drain.
+    /// Frames shipped before they were full: the sending worker went
+    /// idle or held them for `flush_interval`, a non-worker push woke a
+    /// worker to sweep the ports, or shutdown drained them.
     pub batch_flush_timer: AtomicU64,
     /// Parcels that died, all causes (the sum of the five by-cause
     /// counters below). Every death also raises a fault delivered to the

@@ -169,13 +169,15 @@ pub struct TraceEvent {
     /// Comparable within one OS process only — cross-rank ordering uses
     /// causal matching, not clocks.
     pub at_ns: u64,
-    /// Recording-order sequence number within the ring (ties on `at_ns`).
+    /// Recording-order sequence number within the locality's ring (ties
+    /// on `at_ns`).
     pub seq: u64,
     /// Recording locality.
     pub locality: u16,
-    /// Recording rank (one causality domain per OS process): events with
-    /// equal `domain` are totally ordered by `seq`; events across domains
-    /// only by send/recv matching.
+    /// Recording rank (one causality domain per OS process): events of
+    /// one `(domain, locality)` ring are totally ordered by `seq`, rings
+    /// of one domain by `at_ns`, and events across domains only by
+    /// send/recv matching.
     pub domain: u16,
 }
 
@@ -354,27 +356,31 @@ impl TraceDump {
         self
     }
 
-    /// Order events causally: within a domain (one OS process) by
-    /// recording order; across domains, a [`TraceEventKind::NetRecv`] of
+    /// Order events causally: within one ring (a locality of one OS
+    /// process) by recording order, across the rings of one process by
+    /// timestamp; across domains, a [`TraceEventKind::NetRecv`] of
     /// trace `t` from rank `r` is placed after a matching
     /// [`TraceEventKind::NetSubmit`] of `t` sent from `r` — clocks are
     /// never compared across domains. If ring overwrites leave a receive
     /// unmatched, the ordering degrades gracefully to timestamp order for
     /// the stuck fronts rather than stalling.
     pub fn order_causally(&mut self) {
-        // Per-domain queues in recording order.
-        let mut domains: HashMap<u16, Vec<TraceEvent>> = HashMap::new();
+        // Per-ring queues in recording order: `seq` counts within one
+        // locality's ring, so in-process localities each get their own
+        // queue and the merge below orders them by `at_ns` (one clock per
+        // process).
+        let mut rings: HashMap<(u16, u16), Vec<TraceEvent>> = HashMap::new();
         for e in self.events.drain(..) {
-            domains.entry(e.domain).or_default().push(e);
+            rings.entry((e.domain, e.locality)).or_default().push(e);
         }
-        let mut queues: Vec<(Vec<TraceEvent>, usize)> = domains
+        let mut queues: Vec<(Vec<TraceEvent>, usize)> = rings
             .into_values()
             .map(|mut v| {
                 v.sort_by_key(|e| e.seq);
                 (v, 0usize)
             })
             .collect();
-        queues.sort_by_key(|(v, _)| v.first().map(|e| e.domain).unwrap_or(0));
+        queues.sort_by_key(|(v, _)| v.first().map(|e| (e.domain, e.locality)));
         // Emitted-submit minus emitted-recv counts, keyed by
         // (trace, from-rank, to-rank).
         let mut in_flight: HashMap<(u64, u64, u64), i64> = HashMap::new();
@@ -394,7 +400,8 @@ impl TraceDump {
                     cur.is_none_or(|c| {
                         let (cq, cat) = &queues[c];
                         let ce = cq[*cat];
-                        (e.at_ns, e.domain, e.seq) < (ce.at_ns, ce.domain, ce.seq)
+                        (e.at_ns, e.domain, e.locality, e.seq)
+                            < (ce.at_ns, ce.domain, ce.locality, ce.seq)
                     })
                 };
                 if enabled && better(best) {
@@ -592,6 +599,31 @@ mod tests {
         assert_ne!(a, 0, "ids are never zero");
         let off = TraceState::new(0, 0);
         assert!(off.maybe_sample().is_none());
+    }
+
+    /// In-process localities record into separate rings whose `seq`
+    /// counters overlap: L1's dispatch (its seq 0) must still follow the
+    /// L0 send that caused it (L0's seq 5), by timestamp.
+    #[test]
+    fn rings_of_one_process_merge_by_time_not_seq() {
+        let at = |locality: u16, kind, seq, at_ns| TraceEvent {
+            locality,
+            ..ev(9, kind, 0, seq, at_ns)
+        };
+        let d = TraceDump::new(vec![
+            at(1, TraceEventKind::ParcelDispatch, 0, 200),
+            at(0, TraceEventKind::ParcelSend, 5, 100),
+            at(1, TraceEventKind::LcoTrigger, 1, 300),
+        ]);
+        let order: Vec<_> = d.events.iter().map(|e| (e.locality, e.kind)).collect();
+        assert_eq!(
+            order,
+            [
+                (0, TraceEventKind::ParcelSend),
+                (1, TraceEventKind::ParcelDispatch),
+                (1, TraceEventKind::LcoTrigger),
+            ]
+        );
     }
 
     #[test]

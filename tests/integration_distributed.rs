@@ -314,21 +314,14 @@ fn killing_a_peer_resolves_waiters_with_fault_in_bounded_time() {
 /// The event-loop transport's headline invariant, measured across real
 /// OS processes: this rank's thread count is **flat** as the mesh grows
 /// from 1 peer to 7 — the transport always runs exactly one I/O thread,
-/// never a thread (pair) per peer.
+/// never a thread (pair) per peer. Counted from the threads the runtime
+/// reports owning, so sibling tests in this binary cannot skew it.
 #[test]
 fn thread_count_stays_flat_from_one_peer_to_seven() {
-    fn total_threads() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .expect("linux procfs")
-            .count()
-    }
-    fn tcp_threads() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .expect("linux procfs")
-            .filter_map(|t| {
-                let name = std::fs::read_to_string(t.ok()?.path().join("comm")).ok()?;
-                name.starts_with("px-tcp").then_some(())
-            })
+    fn tcp_threads(rt: &Runtime) -> usize {
+        rt.owned_threads()
+            .iter()
+            .filter(|name| name.starts_with("px-tcp"))
             .count()
     }
     // Run one mesh of each size, pushing a round of real traffic to
@@ -355,11 +348,11 @@ fn thread_count_stays_flat_from_one_peer_to_seven() {
             assert_eq!(got, u64::from(r) * u64::from(r));
         }
         assert_eq!(
-            tcp_threads(),
+            tcp_threads(&rt),
             1,
             "exactly one transport I/O thread at {ranks} ranks"
         );
-        counts.push(total_threads());
+        counts.push(rt.owned_threads().len());
         for child in &mut children {
             drop(child.stdin.take());
         }
@@ -372,6 +365,50 @@ fn thread_count_stays_flat_from_one_peer_to_seven() {
         counts[0], counts[1],
         "process thread count must not grow with peers: {counts:?}"
     );
+}
+
+/// Natural batching needs no helper thread: a batched TCP runtime owns
+/// its workers plus the one I/O thread — no port flusher — and a lone
+/// parcel from the main thread still ships and comes back.
+#[test]
+fn batched_tcp_runtime_owns_only_workers_and_io_thread() {
+    let addrs = free_addrs(2);
+    let mut child = spawn_child("serve", &addrs);
+    let cfg = Config::small(2, 1)
+        .with_tcp(0, addrs)
+        .with_max_batch_parcels(16)
+        .with_flush_interval(Duration::from_secs(10));
+    let workers = cfg.workers_per_locality;
+    let rt = RuntimeBuilder::new(cfg)
+        .register::<Square>()
+        .build()
+        .unwrap();
+    let fut = rt.new_future::<u64>(LocalityId(0));
+    rt.send_action::<Square>(
+        Gid::locality_root(LocalityId(1)),
+        7,
+        Continuation::set(fut.gid()),
+    )
+    .unwrap();
+    let got = rt
+        .wait_future_timeout(fut, Duration::from_secs(5))
+        .unwrap()
+        .expect("a lone parcel ships long before the 10 s flush interval");
+    assert_eq!(got, 49);
+    let threads = rt.owned_threads();
+    assert_eq!(threads.len(), workers + 1, "{threads:?}");
+    assert_eq!(
+        threads.iter().filter(|n| n.starts_with("px-tcp")).count(),
+        1,
+        "{threads:?}"
+    );
+    assert!(
+        !threads.iter().any(|n| n.contains("flusher")),
+        "{threads:?}"
+    );
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success());
+    rt.shutdown();
 }
 
 /// Closure spawns cannot cross the process boundary: they die loudly
