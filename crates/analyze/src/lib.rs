@@ -15,7 +15,7 @@
 //! | `unsafe-hygiene` | every `unsafe` is preceded by `// SAFETY:` |
 //! | `atomic-ordering`| `Relaxed` only on counters or with justification; seqlock pairing structurally intact |
 //! | `no-silent-loss` | Parcel bindings in scheduler/transport files reach a kill/delivery sink |
-//! | `wire-stats`     | wire codes unique & exhaustively matched; stats fields in every aggregation path |
+//! | `wire-stats`     | fault wire codes unique & exhaustively matched (and counted by cause); parcel flag bits distinct and all in `KNOWN` |
 //! | `guard-unwrap`   | no `.lock().unwrap()`-style guard unwraps in non-test code |
 //!
 //! Findings print as `file:line: rule-id: message`. Suppression is

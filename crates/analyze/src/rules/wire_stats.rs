@@ -1,9 +1,10 @@
-//! `wire-stats`: cross-file completeness of the fault wire codes, the
-//! parcel flag bits, and the `LocalityStats` counter mirror.
+//! `wire-stats`: cross-file completeness of the fault wire codes and the
+//! parcel flag bits.
 //!
-//! Why: these are the places where adding one enum variant or counter
-//! requires touching three or four hand-written paths, and forgetting
-//! one compiles clean:
+//! Why: these are the places where adding one enum variant requires
+//! touching several hand-written paths, and forgetting one compiles
+//! clean. Both guard wire compatibility with other ranks, which no
+//! declarative table can enforce:
 //!
 //! - **FaultCause wire codes** (`core/src/error.rs`): `code()` must map
 //!   every variant to a unique code, `from_code()` must invert it (one
@@ -16,22 +17,11 @@
 //!   flag must be a distinct single bit and the `KNOWN` mask must OR in
 //!   every flag — the decoder rejects unknown bits, so a flag missing
 //!   from `KNOWN` makes every parcel carrying it undecodable.
-//! - **LocalityStats counters** (`core/src/stats.rs`): the atomic
-//!   `LocalityCounters` fields and the plain `LocalityStats` mirror
-//!   must list the same names, and `snapshot()`, `delta_from()`, and
-//!   `StatsSnapshot::total()` must each touch every field; the struct
-//!   must keep `derive(serde::Serialize)` so the px-bench JSON emitter
-//!   (serde-driven) reports it without its own field list. A counter
-//!   absent from `delta_from` reads as "this interval had none";
-//!   absent from `total` it vanishes from every bench artifact.
-//! - **Instrument coverage** (`core/src/metrics.rs` and
-//!   `bench/src/metrics_report.rs`): every `Instrument` variant must be
-//!   rendered by `render_instruments` (the `metrics_text` exposition
-//!   page) and carried by `metrics_rows` (the `BENCH_*.json` percentile
-//!   rows). Both functions spell out the variants by hand — instead of
-//!   looping `Instrument::ALL` — precisely so this check has a subject:
-//!   a variant missing from either silently drops the new histogram
-//!   from the exposition page or from every bench artifact.
+//!
+//! The `LocalityStats` counters and the `Instrument` registry need no
+//! arm here: each is generated from one declarative table
+//! (`counters!` in `core/src/stats.rs`, `instruments!` in
+//! `core/src/metrics.rs`), so no hand-copied list exists to drift.
 
 use crate::lexer::{TokKind, Token};
 use crate::segment::{matching_brace, next_sig, prev_sig};
@@ -42,19 +32,13 @@ pub fn check(ctxs: &[FileCtx], findings: &mut Vec<Finding>) {
     let error_ctx = ctxs.iter().find(|c| c.rel.ends_with("core/src/error.rs"));
     let stats_ctx = ctxs.iter().find(|c| c.rel.ends_with("core/src/stats.rs"));
     let wire_ctx = ctxs.iter().find(|c| c.rel.ends_with("wire/src/lib.rs"));
-    let metrics_ctx = ctxs.iter().find(|c| c.rel.ends_with("core/src/metrics.rs"));
-    let bench_ctx = ctxs
-        .iter()
-        .find(|c| c.rel.ends_with("bench/src/metrics_report.rs"));
 
-    // Analyzing the real core crate without its fault/stats/metrics
-    // files means the completeness checks would silently vacuously
-    // pass — refuse.
+    // Analyzing the real core crate without its fault/stats files means
+    // the completeness checks would silently vacuously pass — refuse.
     if ctxs.iter().any(|c| c.rel == "crates/core/src/lib.rs") {
         for (present, name) in [
             (error_ctx.is_some(), "error.rs"),
             (stats_ctx.is_some(), "stats.rs"),
-            (metrics_ctx.is_some(), "metrics.rs"),
         ] {
             if !present {
                 findings.push(Finding {
@@ -66,17 +50,6 @@ pub fn check(ctxs: &[FileCtx], findings: &mut Vec<Finding>) {
             }
         }
     }
-    // Same refusal for the bench crate: its percentile rows are half of
-    // the Instrument coverage check.
-    if ctxs.iter().any(|c| c.rel == "crates/bench/src/lib.rs") && bench_ctx.is_none() {
-        findings.push(Finding {
-            file: "crates/bench/src/lib.rs".into(),
-            line: 1,
-            rule: "wire-stats",
-            msg: "bench/src/metrics_report.rs missing: Instrument coverage check has no subject"
-                .into(),
-        });
-    }
 
     let variants =
         error_ctx.and_then(|c| enum_variants(&c.toks, "FaultCause").map(|(v, line)| (c, v, line)));
@@ -86,67 +59,8 @@ pub fn check(ctxs: &[FileCtx], findings: &mut Vec<Finding>) {
             check_count_death(sctx, variants, findings);
         }
     }
-    if let Some(sctx) = stats_ctx {
-        check_locality_stats(sctx, findings);
-    }
     if let Some(wctx) = wire_ctx {
         check_parcel_flags(wctx, findings);
-    }
-    if let Some(mctx) = metrics_ctx {
-        match enum_variants(&mctx.toks, "Instrument") {
-            Some((instruments, _)) => {
-                check_instrument_coverage(mctx, "render_instruments", &instruments, findings);
-                if let Some(bctx) = bench_ctx {
-                    check_instrument_coverage(bctx, "metrics_rows", &instruments, findings);
-                }
-            }
-            None => findings.push(Finding {
-                file: mctx.rel.clone(),
-                line: 1,
-                rule: "wire-stats",
-                msg: "metrics.rs has no `enum Instrument` — coverage check has no subject".into(),
-            }),
-        }
-    }
-}
-
-// -------------------------------------------------------------- Instrument
-
-/// Every `Instrument` variant must appear as an `Instrument::V` path in
-/// the named function — the renderer and the bench row builder are the
-/// two hand-written fan-outs where a new instrument can silently go
-/// missing (the registry itself is array-indexed and cannot drop one).
-fn check_instrument_coverage(
-    ctx: &FileCtx,
-    fn_name: &str,
-    variants: &[String],
-    findings: &mut Vec<Finding>,
-) {
-    let Some(body) = fn_body(ctx, fn_name) else {
-        findings.push(Finding {
-            file: ctx.rel.clone(),
-            line: 1,
-            rule: "wire-stats",
-            msg: format!("no `fn {fn_name}` — Instrument coverage has no subject here"),
-        });
-        return;
-    };
-    let toks = &ctx.toks;
-    let used: Vec<String> = (body.0..body.1)
-        .filter_map(|i| enum_path(toks, i, "Instrument"))
-        .collect();
-    for v in variants {
-        if !used.iter().any(|u| u == v) {
-            findings.push(Finding {
-                file: ctx.rel.clone(),
-                line: toks[body.0].line,
-                rule: "wire-stats",
-                msg: format!(
-                    "Instrument::{v} is not carried through `{fn_name}` — its histogram \
-                     would vanish from the output"
-                ),
-            });
-        }
     }
 }
 
@@ -266,103 +180,6 @@ fn check_count_death(ctx: &FileCtx, variants: &[String], findings: &mut Vec<Find
                 rule: "wire-stats",
                 msg: format!("FaultCause::{v} has no by-cause arm in `count_death`"),
             });
-        }
-    }
-}
-
-// ------------------------------------------------------------ LocalityStats
-
-fn check_locality_stats(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    let toks = &ctx.toks;
-    let mut push = |line: u32, msg: String| {
-        findings.push(Finding {
-            file: ctx.rel.clone(),
-            line,
-            rule: "wire-stats",
-            msg,
-        })
-    };
-    let Some((counters, _)) = struct_fields(toks, "LocalityCounters") else {
-        push(1, "struct LocalityCounters not found".into());
-        return;
-    };
-    let Some((stats, stats_idx)) = struct_fields(toks, "LocalityStats") else {
-        push(1, "struct LocalityStats not found".into());
-        return;
-    };
-    let stats_line = toks[stats_idx].line;
-    for f in &counters {
-        if !stats.contains(f) {
-            push(
-                stats_line,
-                format!("counter `{f}` has no mirror field in LocalityStats"),
-            );
-        }
-    }
-    for f in &stats {
-        if !counters.contains(f) {
-            push(
-                stats_line,
-                format!("LocalityStats field `{f}` has no LocalityCounters source"),
-            );
-        }
-    }
-    if !derives(toks, stats_idx, "Serialize") {
-        push(
-            stats_line,
-            "LocalityStats must derive serde::Serialize — the px-bench JSON emitter is \
-             serde-driven and would drop it from artifacts"
-                .into(),
-        );
-    }
-    // Field coverage in snapshot / delta_from / total.
-    let passes: &[(&str, &str)] = &[
-        ("snapshot", "init"),
-        ("delta_from", "init"),
-        ("total", "add"),
-    ];
-    for (fn_name, mode) in passes {
-        // All fns with that name (both delta_from impls count as one
-        // search space; the locality fields live in the LocalityStats one).
-        let bodies: Vec<(usize, usize)> = ctx
-            .fns
-            .iter()
-            .filter(|f| f.name == *fn_name && !f.in_test)
-            .map(|f| (f.body.0, f.body.1))
-            .collect();
-        if bodies.is_empty() {
-            push(stats_line, format!("stats.rs has no `fn {fn_name}`"));
-            continue;
-        }
-        for f in &stats {
-            let present = bodies.iter().any(|&(o, c)| {
-                (o..c).any(|i| {
-                    if !toks[i].is_ident(f) {
-                        return false;
-                    }
-                    match *mode {
-                        // `field: value` initializer
-                        "init" => next_sig(toks, i + 1).is_some_and(|n| {
-                            toks[n].is_punct(':')
-                                && !toks.get(n + 1).is_some_and(|q| q.is_punct(':'))
-                        }),
-                        // `t.field += l.field`
-                        _ => {
-                            i.checked_sub(1)
-                                .and_then(|p| prev_sig(toks, p))
-                                .is_some_and(|p| toks[p].is_punct('.'))
-                                && next_sig(toks, i + 1).is_some_and(|n| toks[n].is_punct('+'))
-                        }
-                    }
-                })
-            });
-            if !present {
-                let line = toks[bodies[0].0].line;
-                push(
-                    line,
-                    format!("LocalityStats counter `{f}` is not carried through `{fn_name}`"),
-                );
-            }
         }
     }
 }
@@ -505,12 +322,7 @@ fn check_parcel_flags(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 
 /// `FaultCause::V` starting at `i` → `V`.
 fn fault_path(toks: &[Token], i: usize) -> Option<String> {
-    enum_path(toks, i, "FaultCause")
-}
-
-/// `<Enum>::V` starting at `i` → `V`.
-fn enum_path(toks: &[Token], i: usize, enum_name: &str) -> Option<String> {
-    if toks.get(i)?.is_ident(enum_name)
+    if toks.get(i)?.is_ident("FaultCause")
         && toks.get(i + 1)?.is_punct(':')
         && toks.get(i + 2)?.is_punct(':')
         && toks.get(i + 3)?.kind == TokKind::Ident
@@ -565,84 +377,6 @@ fn enum_variants(toks: &[Token], name: &str) -> Option<(Vec<String>, u32)> {
     Some((out, toks[e].line))
 }
 
-/// Fields of `struct <name>` and the token index of the name.
-fn struct_fields(toks: &[Token], name: &str) -> Option<(Vec<String>, usize)> {
-    let s = (0..toks.len()).find(|&i| {
-        toks[i].is_ident(name)
-            && i.checked_sub(1)
-                .and_then(|p| prev_sig(toks, p))
-                .is_some_and(|p| toks[p].is_ident("struct"))
-    })?;
-    let open = next_sig(toks, s + 1).filter(|&o| toks[o].is_punct('{'))?;
-    let close = matching_brace(toks, open);
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    for i in open..=close {
-        let t = &toks[i];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct('>') {
-            depth -= 1;
-        } else if depth == 1
-            && t.kind == TokKind::Ident
-            && t.text != "pub"
-            && next_sig(toks, i + 1).is_some_and(|n| toks[n].is_punct(':'))
-        {
-            out.push(t.text.clone());
-        }
-    }
-    Some((out, s))
-}
-
-/// Does the item whose name token sits at `idx` carry `#[derive(.. <what> ..)]`?
-fn derives(toks: &[Token], idx: usize, what: &str) -> bool {
-    // Walk back over attributes: `] .. [ #` groups above the item.
-    let Some(kw) = idx.checked_sub(1).and_then(|p| prev_sig(toks, p)) else {
-        return false;
-    };
-    // kw is `struct`; visibility modifiers and attributes sit before it.
-    let mut j = kw as isize - 1;
-    while j > 0 {
-        while j > 0 && {
-            let t = &toks[j as usize];
-            t.is_comment()
-                || t.is_ident("pub")
-                || t.is_ident("crate")
-                || t.is_ident("super")
-                || t.is_punct('(')
-                || t.is_punct(')')
-        } {
-            j -= 1;
-        }
-        if j <= 0 || !toks[j as usize].is_punct(']') {
-            return false;
-        }
-        // Scan back to the `[` and its `#`, collecting idents.
-        let mut found = false;
-        let mut depth = 0i64;
-        while j >= 0 {
-            let t = &toks[j as usize];
-            if t.is_punct(']') {
-                depth += 1;
-            } else if t.is_punct('[') {
-                depth -= 1;
-                if depth == 0 {
-                    j -= 1; // at `#`
-                    break;
-                }
-            } else if t.kind == TokKind::Ident && t.text == what {
-                found = true;
-            }
-            j -= 1;
-        }
-        if found {
-            return true;
-        }
-        j -= 1; // past `#`
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use crate::analyze_files;
@@ -667,7 +401,6 @@ impl FaultCause {
     }
 }";
     const GOOD_STATS: &str = "\
-pub struct LocalityCounters { pub parcels_sent: AtomicU64, pub dead_parcels: AtomicU64 }
 impl LocalityCounters {
     pub fn count_death(&self, cause: FaultCause) {
         match cause {
@@ -676,56 +409,12 @@ impl LocalityCounters {
             FaultCause::HandlerError => bump!(self.dead_parcels),
         }
     }
-    pub fn snapshot(&self) -> LocalityStats {
-        LocalityStats {
-            parcels_sent: self.parcels_sent.load(Ordering::Relaxed),
-            dead_parcels: self.dead_parcels.load(Ordering::Relaxed),
-        }
-    }
-}
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct LocalityStats { pub parcels_sent: u64, pub dead_parcels: u64 }
-impl LocalityStats {
-    pub fn delta_from(&self, e: &LocalityStats) -> LocalityStats {
-        LocalityStats {
-            parcels_sent: self.parcels_sent - e.parcels_sent,
-            dead_parcels: self.dead_parcels - e.dead_parcels,
-        }
-    }
-}
-impl StatsSnapshot {
-    pub fn total(&self) -> LocalityStats {
-        let mut t = LocalityStats::default();
-        for l in &self.localities {
-            t.parcels_sent += l.parcels_sent;
-            t.dead_parcels += l.dead_parcels;
-        }
-        t
-    }
 }";
     const GOOD_WIRE: &str = "\
 pub mod parcel_flags {
     pub const STAGED: u8 = 1 << 0;
     pub const FAULT: u8 = 1 << 1;
     pub const KNOWN: u8 = STAGED | FAULT;
-}";
-    /// A minimal metrics.rs: the `Instrument` enum plus a renderer that
-    /// spells out every variant.
-    const GOOD_METRICS: &str = "\
-pub enum Instrument { QueueWait, NetRtt, DirLookup }
-pub fn render_instruments(snap: &MetricsSnapshot, out: &mut String) {
-    render_one(snap.get(Instrument::QueueWait), out);
-    render_one(snap.get(Instrument::NetRtt), out);
-    render_one(snap.get(Instrument::DirLookup), out);
-}";
-    /// A minimal metrics_report.rs: the bench row builder's explicit list.
-    const GOOD_BENCH: &str = "\
-pub fn metrics_rows(snap: &MetricsSnapshot) -> Vec<MetricsRow> {
-    vec![
-        row(snap, Instrument::QueueWait),
-        row(snap, Instrument::NetRtt),
-        row(snap, Instrument::DirLookup),
-    ]
 }";
 
     fn run(error: &str, stats: &str, wire: &str) -> Vec<String> {
@@ -792,133 +481,6 @@ pub fn metrics_rows(snap: &MetricsSnapshot) -> Vec<MetricsRow> {
             found
                 .iter()
                 .any(|m| m.contains("no by-cause arm in `count_death`")),
-            "{found:?}"
-        );
-    }
-
-    #[test]
-    fn stats_mirror_and_paths_must_be_complete() {
-        // Mirror field missing.
-        let bad = GOOD_STATS.replace(
-            "pub struct LocalityStats { pub parcels_sent: u64, pub dead_parcels: u64 }",
-            "pub struct LocalityStats { pub parcels_sent: u64 }",
-        );
-        let found = run(GOOD_ERROR, &bad, GOOD_WIRE);
-        assert!(
-            found
-                .iter()
-                .any(|m| m.contains("`dead_parcels` has no mirror field")),
-            "{found:?}"
-        );
-        // delta_from drops a field.
-        let bad = GOOD_STATS.replace("dead_parcels: self.dead_parcels - e.dead_parcels,\n", "");
-        let found = run(GOOD_ERROR, &bad, GOOD_WIRE);
-        assert!(
-            found
-                .iter()
-                .any(|m| m.contains("`dead_parcels` is not carried through `delta_from`")),
-            "{found:?}"
-        );
-        // total drops a field.
-        let bad = GOOD_STATS.replace("t.dead_parcels += l.dead_parcels;\n", "");
-        let found = run(GOOD_ERROR, &bad, GOOD_WIRE);
-        assert!(
-            found
-                .iter()
-                .any(|m| m.contains("`dead_parcels` is not carried through `total`")),
-            "{found:?}"
-        );
-        // Serialize derive dropped.
-        let bad = GOOD_STATS.replace("#[derive(Debug, Clone, serde::Serialize)]", "");
-        let found = run(GOOD_ERROR, &bad, GOOD_WIRE);
-        assert!(
-            found.iter().any(|m| m.contains("derive serde::Serialize")),
-            "{found:?}"
-        );
-    }
-
-    fn run_metrics(metrics: &str, bench: &str) -> Vec<String> {
-        analyze_files(&[
-            ("crates/core/src/metrics.rs".into(), metrics.into()),
-            ("crates/bench/src/metrics_report.rs".into(), bench.into()),
-        ])
-        .into_iter()
-        .filter(|f| f.rule == "wire-stats")
-        .map(|f| f.to_string())
-        .collect()
-    }
-
-    #[test]
-    fn instrument_coverage_passes_when_both_fanouts_complete() {
-        let found = run_metrics(GOOD_METRICS, GOOD_BENCH);
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn instrument_missing_from_renderer_or_bench_rows_caught() {
-        // Seed an instrument the exposition page forgot to render.
-        let bad = GOOD_METRICS.replace("    render_one(snap.get(Instrument::NetRtt), out);\n", "");
-        let found = run_metrics(&bad, GOOD_BENCH);
-        assert!(
-            found
-                .iter()
-                .any(|m| m
-                    .contains("Instrument::NetRtt is not carried through `render_instruments`")),
-            "{found:?}"
-        );
-        // Seed an instrument the bench JSON rows forgot to carry.
-        let bad = GOOD_BENCH.replace("row(snap, Instrument::NetRtt),", "");
-        let found = run_metrics(GOOD_METRICS, &bad);
-        assert!(
-            found
-                .iter()
-                .any(|m| m.contains("Instrument::NetRtt is not carried through `metrics_rows`")),
-            "{found:?}"
-        );
-        // A late-added variant (the directory-lookup instrument shape) is
-        // held to the same standard in both fan-outs.
-        let bad = GOOD_METRICS.replace(
-            "    render_one(snap.get(Instrument::DirLookup), out);\n",
-            "",
-        );
-        let found = run_metrics(&bad, GOOD_BENCH);
-        assert!(
-            found.iter().any(|m| {
-                m.contains("Instrument::DirLookup is not carried through `render_instruments`")
-            }),
-            "{found:?}"
-        );
-    }
-
-    #[test]
-    fn instrument_check_refuses_to_pass_vacuously() {
-        // The real core crate without metrics.rs: refused.
-        let found: Vec<String> = analyze_files(&[
-            ("crates/core/src/lib.rs".into(), "pub mod metrics;".into()),
-            ("crates/core/src/error.rs".into(), GOOD_ERROR.into()),
-            ("crates/core/src/stats.rs".into(), GOOD_STATS.into()),
-        ])
-        .into_iter()
-        .filter(|f| f.rule == "wire-stats")
-        .map(|f| f.to_string())
-        .collect();
-        assert!(
-            found.iter().any(|m| m.contains("metrics.rs missing")),
-            "{found:?}"
-        );
-        // The real bench crate without metrics_report.rs: refused.
-        let found: Vec<String> = analyze_files(&[(
-            "crates/bench/src/lib.rs".into(),
-            "pub mod metrics_report;".into(),
-        )])
-        .into_iter()
-        .filter(|f| f.rule == "wire-stats")
-        .map(|f| f.to_string())
-        .collect();
-        assert!(
-            found
-                .iter()
-                .any(|m| m.contains("metrics_report.rs missing")),
             "{found:?}"
         );
     }

@@ -1,12 +1,8 @@
 //! `--metrics` reporting: percentile tables, BENCH JSON rows, and the
 //! exposition-format checker the CI smoke leg runs.
 //!
-//! The row builder spells out every [`Instrument`] variant explicitly
-//! (no `Instrument::ALL` loop) on purpose: the px-analyze `wire-stats`
-//! rule cross-checks this function and px-core's `render_instruments`
-//! against the `Instrument` enum, so adding an instrument without
-//! carrying it into the bench artifacts fails `cargo run -p px-analyze`
-//! instead of silently dropping the new histogram from `BENCH_*.json`.
+//! Rows walk [`Instrument::ALL`], so a new instrument reaches every
+//! `BENCH_*.json` artifact without an edit here.
 
 use crate::table::print_table;
 use px_core::prelude::{Instrument, MetricsSnapshot};
@@ -44,18 +40,12 @@ fn row(snap: &MetricsSnapshot, inst: Instrument) -> MetricsRow {
     }
 }
 
-/// One row per instrument, in registry order. Explicit variant list —
-/// see the module docs for why this is not a loop over `Instrument::ALL`.
+/// One row per instrument, in registry order.
 pub fn metrics_rows(snap: &MetricsSnapshot) -> Vec<MetricsRow> {
-    vec![
-        row(snap, Instrument::QueueWait),
-        row(snap, Instrument::ExecuteUser),
-        row(snap, Instrument::ExecuteSys),
-        row(snap, Instrument::SpawnResolve),
-        row(snap, Instrument::NetRtt),
-        row(snap, Instrument::ControlLane),
-        row(snap, Instrument::DirLookup),
-    ]
+    Instrument::ALL
+        .into_iter()
+        .map(|inst| row(snap, inst))
+        .collect()
 }
 
 /// Print the percentile table for one runtime's (or a merged cluster's)

@@ -128,11 +128,6 @@ impl SleepCtl {
 /// set, so the balanced and un-balanced runtimes differ by one `Option`
 /// check on the hot paths).
 pub(crate) struct BalanceState {
-    /// Control-plane queue: gossip parcels land here and are drained
-    /// ahead of all other work. Without this, a saturated locality would
-    /// execute gossip only after its entire data backlog — exactly the
-    /// moment it most needs to learn its peers are idle.
-    pub(crate) control: Injector<Task>,
     /// Sliding-window load monitor, sampled by the balancer pulse.
     pub(crate) monitor: Mutex<LoadMonitor>,
     /// What this locality believes about every locality's load (filled by
@@ -154,7 +149,6 @@ pub(crate) const NO_SPAWN_TARGET: u32 = u32::MAX;
 impl BalanceState {
     pub(crate) fn new(n_localities: usize, window: usize) -> BalanceState {
         BalanceState {
-            control: Injector::new(),
             monitor: Mutex::new(LoadMonitor::new(window)),
             peers: Mutex::new(PeerView::new(n_localities)),
             spawn_target: AtomicU32::new(NO_SPAWN_TARGET),
@@ -169,6 +163,10 @@ pub struct Locality {
     pub id: LocalityId,
     /// General run queue (parcels, injected threads).
     pub(crate) injector: Injector<Task>,
+    /// Control lane (balancer gossip, metrics pulls, directory ops):
+    /// drained ahead of all other work, so control traffic never waits
+    /// behind the data backlog it observes or repairs.
+    pub(crate) control: Injector<Task>,
     /// Percolation staging buffer: prestaged tasks whose data travelled
     /// with them; drained at higher priority than the injector.
     pub(crate) staging: Injector<Task>,
@@ -211,6 +209,7 @@ impl Locality {
         Locality {
             id,
             injector: Injector::new(),
+            control: Injector::new(),
             staging: Injector::new(),
             stealers: RwLock::new(Vec::new()),
             store: RwLock::new(FxHashMap::default()),
@@ -319,21 +318,12 @@ impl Locality {
         self.sleep.wake_one();
     }
 
-    /// Enqueue a control-plane task (balancer gossip, metrics pulls),
-    /// drained ahead of all other queues. Falls back to the general queue
-    /// if balancing is off here (then its wait is accounted to the
-    /// queue-wait instrument rather than the control lane, matching the
-    /// queue it actually waited in).
-    pub(crate) fn push_control(&self, task: Task) {
-        match &self.balance {
-            Some(b) => {
-                let mut task = task;
-                task.enqueued = self.metrics_now();
-                b.control.push(task);
-                self.sleep.wake_one();
-            }
-            None => self.push_task(task),
-        }
+    /// Enqueue a control-plane task on the control lane, drained ahead
+    /// of all other queues.
+    pub(crate) fn push_control(&self, mut task: Task) {
+        task.enqueued = self.metrics_now();
+        self.control.push(task);
+        self.sleep.wake_one();
     }
 
     // ---- object store ----------------------------------------------------

@@ -291,10 +291,11 @@ pub(crate) enum WireMsg {
         /// The task to enqueue.
         task: Task,
     },
-    /// Control-plane parcel (balancer gossip, metrics pulls): delivered into the
-    /// destination's control queue, drained ahead of all other work so a
-    /// saturated locality still learns about idle peers promptly. Never
-    /// coalesced — control traffic is latency-sensitive by nature.
+    /// Control-plane parcel (balancer gossip, metrics pulls, directory
+    /// ops): delivered into the destination's control lane, drained ahead
+    /// of all other work whether or not the balancer is on, so a
+    /// saturated locality still answers promptly. Never coalesced —
+    /// control traffic is latency-sensitive by nature.
     Control {
         /// Destination locality.
         dest: LocalityId,

@@ -892,56 +892,11 @@ impl Runtime {
         let stats = self.stats();
         let t = stats.total();
         let mut out = String::new();
-        // Counter totals. The `{{}}` renders as a literal empty label set
-        // so every line parses uniformly as `name{labels} value`.
-        macro_rules! counter {
-            ($field:ident) => {
-                let _ = writeln!(out, concat!("px_", stringify!($field), "{{}} {}"), t.$field);
-            };
+        // Counter totals. The `{}` is a literal empty label set so every
+        // line parses uniformly as `name{labels} value`.
+        for (name, value) in t.fields() {
+            let _ = writeln!(out, "px_{name}{{}} {value}");
         }
-        counter!(parcels_sent);
-        counter!(parcels_recv);
-        counter!(parcels_forwarded);
-        counter!(bytes_sent);
-        counter!(threads_executed);
-        counter!(resumes);
-        counter!(steals);
-        counter!(parks);
-        counter!(busy_ns);
-        counter!(idle_ns);
-        counter!(lco_events);
-        counter!(staged_executed);
-        counter!(agas_cache_hits);
-        counter!(agas_cache_misses);
-        counter!(agas_directory_lookups);
-        counter!(frames_sent);
-        counter!(frames_recv);
-        counter!(coalesced_parcels);
-        counter!(batch_flush_full);
-        counter!(batch_flush_timer);
-        counter!(dead_parcels);
-        counter!(dead_hop_cap);
-        counter!(dead_unknown_action);
-        counter!(dead_handler_error);
-        counter!(dead_panic);
-        counter!(dead_decode);
-        counter!(dead_cancelled);
-        counter!(dead_transport);
-        counter!(tasks_cancelled);
-        counter!(panics);
-        counter!(gossip_rounds);
-        counter!(gossip_parcels);
-        counter!(tasks_shed);
-        counter!(balance_pulls);
-        counter!(chase_hops_total);
-        counter!(chased_parcels);
-        counter!(chase_cap_violations);
-        counter!(trace_events_recorded);
-        counter!(trace_events_dropped);
-        counter!(dir_lookups_local);
-        counter!(dir_lookups_remote);
-        counter!(dir_forwards);
-        counter!(dir_repairs);
         let _ = writeln!(out, "px_migrations_manual{{}} {}", stats.migrations_manual);
         let _ = writeln!(
             out,
@@ -1924,6 +1879,175 @@ mod tests {
             assert!(value.parse::<f64>().unwrap().is_finite(), "{line}");
         }
         rt.shutdown();
+    }
+
+    /// Exposition name and help of every instrument, in registry order
+    /// (shared by the two golden tests below).
+    const GOLDEN_INSTRUMENTS: [(&str, &str); 7] = [
+        (
+            "px_queue_wait_ns",
+            "parcel/task wait in a run queue, enqueue to dequeue",
+        ),
+        (
+            "px_execute_user_ns",
+            "registered action handler execution time",
+        ),
+        ("px_execute_sys_ns", "system action execution time"),
+        (
+            "px_spawn_resolve_ns",
+            "LCO creation to resolution (spawn to continuation)",
+        ),
+        ("px_net_rtt_ns", "transport submit to wire drain"),
+        (
+            "px_control_lane_ns",
+            "control-lane delivery, push to priority drain",
+        ),
+        (
+            "px_dir_lookup_ns",
+            "remote directory lookup, request to owner resolution",
+        ),
+    ];
+
+    /// Golden pin of the exposition page's shape: the metric names in
+    /// order (values stripped). Metrics are off, so every instrument
+    /// block is the fixed empty form.
+    #[test]
+    fn metrics_text_names_are_pinned() {
+        const COUNTERS: [&str; 43] = [
+            "parcels_sent",
+            "parcels_recv",
+            "parcels_forwarded",
+            "bytes_sent",
+            "threads_executed",
+            "resumes",
+            "steals",
+            "parks",
+            "busy_ns",
+            "idle_ns",
+            "lco_events",
+            "staged_executed",
+            "agas_cache_hits",
+            "agas_cache_misses",
+            "agas_directory_lookups",
+            "frames_sent",
+            "frames_recv",
+            "coalesced_parcels",
+            "batch_flush_full",
+            "batch_flush_timer",
+            "dead_parcels",
+            "dead_hop_cap",
+            "dead_unknown_action",
+            "dead_handler_error",
+            "dead_panic",
+            "dead_decode",
+            "dead_cancelled",
+            "dead_transport",
+            "tasks_cancelled",
+            "panics",
+            "gossip_rounds",
+            "gossip_parcels",
+            "tasks_shed",
+            "balance_pulls",
+            "chase_hops_total",
+            "chased_parcels",
+            "chase_cap_violations",
+            "trace_events_recorded",
+            "trace_events_dropped",
+            "dir_lookups_local",
+            "dir_lookups_remote",
+            "dir_forwards",
+            "dir_repairs",
+        ];
+        const TAIL: [&str; 9] = [
+            "migrations_manual",
+            "migrations_balancer",
+            "processes_created",
+            "processes_cancelled",
+            "processes_reaped",
+            "busy_fraction",
+            "parcels_per_frame",
+            "mean_chase_len",
+            "agas_hit_rate",
+        ];
+        let mut want: Vec<String> = COUNTERS
+            .iter()
+            .chain(&TAIL)
+            .map(|n| format!("px_{n}{{}}"))
+            .collect();
+        for (name, help) in GOLDEN_INSTRUMENTS {
+            want.push(format!("# HELP {name} {help}"));
+            want.push(format!("# TYPE {name} histogram"));
+            want.push(format!("{name}_bucket{{le=\"+Inf\"}}"));
+            want.push(format!("{name}_sum{{}}"));
+            want.push(format!("{name}_count{{}}"));
+            for q in ["0.5", "0.9", "0.99", "0.999"] {
+                want.push(format!("{name}{{quantile=\"{q}\"}}"));
+            }
+        }
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let text = rt.metrics_text();
+        rt.shutdown();
+        let got: Vec<String> = text
+            .lines()
+            .map(|l| match l.starts_with('#') {
+                true => l.to_string(),
+                false => l.split_once(' ').expect("line has a value").0.to_string(),
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    /// Golden pin of the histogram block bytes for fixed samples.
+    #[test]
+    fn render_instruments_bytes_are_pinned() {
+        use crate::metrics::{render_instruments, Instrument, MetricsRegistry};
+        let reg = MetricsRegistry::default();
+        for v in [3, 100, 100, 5_000] {
+            reg.record(Instrument::QueueWait, v);
+        }
+        reg.record(Instrument::DirLookup, u64::MAX);
+        let mut out = String::new();
+        render_instruments(&reg.snapshot(), &mut out);
+        let empty = |name: &str, help: &str| {
+            format!(
+                "# HELP {name} {help}\n# TYPE {name} histogram\n\
+                 {name}_bucket{{le=\"+Inf\"}} 0\n{name}_sum{{}} 0\n{name}_count{{}} 0\n\
+                 {name}{{quantile=\"0.5\"}} 0\n{name}{{quantile=\"0.9\"}} 0\n\
+                 {name}{{quantile=\"0.99\"}} 0\n{name}{{quantile=\"0.999\"}} 0\n"
+            )
+        };
+        let want = [
+            "# HELP px_queue_wait_ns parcel/task wait in a run queue, enqueue to dequeue\n\
+             # TYPE px_queue_wait_ns histogram\n\
+             px_queue_wait_ns_bucket{le=\"3\"} 1\n\
+             px_queue_wait_ns_bucket{le=\"103\"} 3\n\
+             px_queue_wait_ns_bucket{le=\"5119\"} 4\n\
+             px_queue_wait_ns_bucket{le=\"+Inf\"} 4\n\
+             px_queue_wait_ns_sum{} 5203\n\
+             px_queue_wait_ns_count{} 4\n\
+             px_queue_wait_ns{quantile=\"0.5\"} 103\n\
+             px_queue_wait_ns{quantile=\"0.9\"} 5119\n\
+             px_queue_wait_ns{quantile=\"0.99\"} 5119\n\
+             px_queue_wait_ns{quantile=\"0.999\"} 5119\n"
+                .to_string(),
+            GOLDEN_INSTRUMENTS[1..6]
+                .iter()
+                .map(|&(name, help)| empty(name, help))
+                .collect(),
+            "# HELP px_dir_lookup_ns remote directory lookup, request to owner resolution\n\
+             # TYPE px_dir_lookup_ns histogram\n\
+             px_dir_lookup_ns_bucket{le=\"18446744073709551615\"} 1\n\
+             px_dir_lookup_ns_bucket{le=\"+Inf\"} 1\n\
+             px_dir_lookup_ns_sum{} 18446744073709551615\n\
+             px_dir_lookup_ns_count{} 1\n\
+             px_dir_lookup_ns{quantile=\"0.5\"} 18446744073709551615\n\
+             px_dir_lookup_ns{quantile=\"0.9\"} 18446744073709551615\n\
+             px_dir_lookup_ns{quantile=\"0.99\"} 18446744073709551615\n\
+             px_dir_lookup_ns{quantile=\"0.999\"} 18446744073709551615\n"
+                .to_string(),
+        ]
+        .concat();
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -309,13 +309,10 @@ pub(crate) fn worker_main(
 
 /// Pull the next task according to the locality's queue discipline.
 fn find_task(loc: &Locality, local: &Worker<Task>, worker_idx: usize) -> Option<Task> {
-    // Control plane first: balancer gossip must not starve behind the
-    // data backlog it exists to measure. The queue exists only when
-    // balancing is on, so the default discipline is untouched.
-    if let Some(b) = &loc.balance {
-        if let Steal::Success(t) = b.control.steal() {
-            return Some(dequeued(loc, crate::metrics::Instrument::ControlLane, t));
-        }
+    // Control lane first: gossip, metrics pulls and directory ops must
+    // not starve behind the data backlog they measure or repair.
+    if let Steal::Success(t) = loc.control.steal() {
+        return Some(dequeued(loc, crate::metrics::Instrument::ControlLane, t));
     }
     // Precious-resource localities drain prestaged work first (§2.2
     // percolation: the staged queue is what keeps the expensive unit busy).

@@ -125,7 +125,7 @@ fn dist_child_entry() {
         addrs,
         mode.starts_with("serve"),
         mode == "serve-trace",
-        mode == "serve-metrics",
+        mode.ends_with("metrics"),
     );
     match mode.as_str() {
         // Vanish right after the barrier, without shutdown: sockets die
@@ -225,9 +225,31 @@ fn two_process_spawn_await_workload_completes() {
 /// its own rank, and merging adds bucket counts, not timestamps.
 #[test]
 fn two_process_cluster_metrics_merges_per_rank_histograms() {
+    pull_cluster_metrics("serve-metrics", true);
+}
+
+/// Acceptance: with the balancer off on both ranks, the metrics pull
+/// still rides rank 1's control lane (it is drained ahead of the data
+/// queues, not queued behind them), so rank 1's `px_control_lane_ns`
+/// histogram holds at least the pull's own sample.
+#[test]
+fn balancer_off_metrics_pull_rides_the_control_lane() {
+    let cluster = pull_cluster_metrics("unbalanced-metrics", false);
+    let (_, rank1) = cluster
+        .per_rank
+        .iter()
+        .find(|(rank, _)| *rank == 1)
+        .expect("rank 1 reported");
+    assert!(rank1.get(Instrument::ControlLane).count >= 1);
+}
+
+/// Square `N` values on rank 1, then pull and check the cluster
+/// metrics. `balanced` turns on batching and the balancer (gossip over
+/// the control lane) at rank 0; the child `mode` must match it.
+fn pull_cluster_metrics(mode: &str, balanced: bool) -> ClusterMetrics {
     let addrs = free_addrs(2);
-    let mut child = spawn_child("serve-metrics", &addrs);
-    let rt = build_rt(0, addrs, true, false, true);
+    let mut child = spawn_child(mode, &addrs);
+    let rt = build_rt(0, addrs, balanced, false, true);
     const N: u64 = 64;
     for i in 0..N {
         let fut = rt.new_future::<u64>(LocalityId(0));
@@ -273,6 +295,7 @@ fn two_process_cluster_metrics_merges_per_rank_histograms() {
     drop(child.stdin.take());
     assert!(child.wait().unwrap().success());
     rt.shutdown();
+    cluster
 }
 
 /// Acceptance: killing one peer mid-flight resolves remote waiters with
