@@ -56,6 +56,17 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Smallest owned-LCO list length at which [`ProcessInner::note_owned_lco`]
+/// compacts.
+const MIN_COMPACT_AT: usize = 1024;
+
+/// A process's owned LCOs and the list length that triggers the next
+/// compaction, kept under one lock.
+struct OwnedLcos {
+    list: Vec<Gid>,
+    compact_at: usize,
+}
+
 /// Shared process record (stored at the home locality and in the runtime's
 /// process table).
 pub struct ProcessInner {
@@ -73,7 +84,7 @@ pub struct ProcessInner {
     children: Mutex<Vec<Gid>>,
     /// LCOs created through this process's threads (plus broadcast
     /// reductions); poisoned at cancel so their waiters resolve.
-    owned_lcos: Mutex<Vec<Gid>>,
+    owned_lcos: Mutex<OwnedLcos>,
     /// Set once by [`cancel_process`]; checked on spawn and dispatch.
     cancelled: AtomicBool,
     /// The root token has been released (by `finish_root` or cancel).
@@ -112,7 +123,10 @@ impl ProcessInner {
             spawned: AtomicU64::new(0),
             parent,
             children: Mutex::new(Vec::new()),
-            owned_lcos: Mutex::new(Vec::new()),
+            owned_lcos: Mutex::new(OwnedLcos {
+                list: Vec::new(),
+                compact_at: MIN_COMPACT_AT,
+            }),
             cancelled: AtomicBool::new(false),
             root_released: AtomicBool::new(false),
             exited: AtomicBool::new(false),
@@ -193,16 +207,26 @@ impl ProcessInner {
     /// Record an LCO created through this process. Returns `None` if the
     /// process is already cancelled — the caller must poison the LCO
     /// immediately instead of waiting for a cancel that already ran —
-    /// and `Some(list_len)` otherwise so the caller can trigger a
-    /// periodic prune.
-    pub(crate) fn note_owned_lco(&self, gid: Gid) -> Option<usize> {
+    /// and `Some(list_len)` otherwise.
+    ///
+    /// When the list reaches its compaction threshold, it is filtered
+    /// through `keep` and the threshold becomes `max(2 × survivors,
+    /// MIN_COMPACT_AT)`. Every compaction therefore scans at most twice
+    /// the entries added since the previous one: creation stays amortized
+    /// O(1) however many LCOs stay pending, and the list never exceeds
+    /// `max(2 × live, MIN_COMPACT_AT)`.
+    fn note_owned_lco(&self, gid: Gid, keep: impl FnMut(&Gid) -> bool) -> Option<usize> {
         if self.cancelled.load(Ordering::Acquire) {
             return None;
         }
         let len = {
             let mut g = self.owned_lcos.lock();
-            g.push(gid);
-            g.len()
+            g.list.push(gid);
+            if g.list.len() >= g.compact_at {
+                g.list.retain(keep);
+                g.compact_at = (2 * g.list.len()).max(MIN_COMPACT_AT);
+            }
+            g.list.len()
         };
         // Re-check: a cancel racing the push may have drained the list
         // before or after our insert; if it already drained, poison at the
@@ -214,11 +238,19 @@ impl ProcessInner {
         }
     }
 
-    /// Drop owned-LCO entries `keep` rejects. Called periodically by the
-    /// LCO-creation path so a long-lived process (the multi-tenant
-    /// parent) does not accumulate every future it ever created.
-    pub(crate) fn prune_owned_lcos(&self, keep: impl FnMut(&Gid) -> bool) {
-        self.owned_lcos.lock().retain(keep);
+    /// Record `gid` as owned by this process, compacting away LCOs a
+    /// cancel can no longer affect: those that already fired, were
+    /// poisoned, or left their store. Returns `false` if the process is
+    /// cancelled; the caller must then poison the LCO itself.
+    pub(crate) fn own_lco(&self, rt: &RuntimeInner, gid: Gid) -> bool {
+        self.note_owned_lco(gid, |g| match rt.locality(g.birthplace()).get(*g) {
+            Some(Stored::Lco(l)) => {
+                let l = l.lock();
+                !l.is_ready() && !l.is_poisoned()
+            }
+            _ => false,
+        })
+        .is_some()
     }
 
     /// Register a subprocess. Returns `false` when this (parent) process
@@ -499,7 +531,7 @@ impl ProcessRef {
                 gid, n, seed, fold,
             ))))
         });
-        if me.note_owned_lco(red).is_none() {
+        if !me.own_lco(inner, red) {
             // Cancelled while we were setting up: poison the fresh
             // reduction so the caller's waiters resolve.
             poison_lco(inner, red, &me.cancel_fault());
@@ -700,7 +732,7 @@ pub(crate) fn cancel_process(rt: &Arc<RuntimeInner>, gid: Gid) {
     // 2. Poison every LCO the process created, releasing all waiter
     //    kinds (depleted threads resume with the fault, continuations
     //    carry it onward, external waiters return `Err`).
-    let owned: Vec<Gid> = std::mem::take(&mut *p.owned_lcos.lock());
+    let owned: Vec<Gid> = std::mem::take(&mut p.owned_lcos.lock().list);
     for lco in owned {
         poison_lco(rt, lco, &fault);
     }
@@ -771,24 +803,96 @@ mod tests {
         let done = Gid::new(LocalityId(0), GidKind::Lco, 2);
         let p = ProcessInner::new(gid, done, None, 1);
         assert_eq!(
-            p.note_owned_lco(Gid::new(LocalityId(0), GidKind::Lco, 3)),
+            p.note_owned_lco(Gid::new(LocalityId(0), GidKind::Lco, 3), |_| true),
             Some(1)
         );
         p.cancelled.store(true, Ordering::Release);
         assert_eq!(
-            p.note_owned_lco(Gid::new(LocalityId(0), GidKind::Lco, 4)),
+            p.note_owned_lco(Gid::new(LocalityId(0), GidKind::Lco, 4), |_| true),
             None
         );
-        // Pruning drops entries the keeper rejects.
-        p.cancelled.store(false, Ordering::Release);
-        p.note_owned_lco(Gid::new(LocalityId(0), GidKind::Lco, 5));
-        p.prune_owned_lcos(|g| g.seq() != 3);
-        // [3, 5] pruned to [5]; the next note makes the list [5, 6].
-        assert_eq!(
-            p.note_owned_lco(Gid::new(LocalityId(0), GidKind::Lco, 6)),
-            Some(2)
-        );
         assert_eq!(p.cancel_fault().cause, FaultCause::Cancelled);
+    }
+
+    fn lco(seq: u64) -> Gid {
+        Gid::new(LocalityId(0), GidKind::Lco, seq)
+    }
+
+    #[test]
+    fn compaction_work_is_linear_in_creations() {
+        const N: u64 = 100_000;
+        let p = ProcessInner::new(lco(0), lco(1), None, 1);
+        // Every LCO stays pending and nothing is ever dropped: each
+        // compaction must at least double the threshold, or the total
+        // scan work grows quadratically with N.
+        let mut calls = 0u64;
+        for i in 0..N {
+            let len = p.note_owned_lco(lco(2 + i), |_| {
+                calls += 1;
+                true
+            });
+            assert_eq!(len, Some(i as usize + 1));
+        }
+        assert!(calls <= 2 * N, "{calls} keep calls for {N} creations");
+    }
+
+    #[test]
+    fn fired_lcos_keep_the_owned_list_bounded() {
+        let p = ProcessInner::new(lco(0), lco(1), None, 1);
+        // Each LCO fires right after it is registered: everything below
+        // `fired_below` is done and a compaction may drop it.
+        let mut fired_below = 0u64;
+        let mut longest = 0usize;
+        for seq in 2..100_002u64 {
+            let len = p.note_owned_lco(lco(seq), |g| g.seq() >= fired_below);
+            longest = longest.max(len.unwrap());
+            fired_below = seq + 1;
+        }
+        assert!(longest <= 1025, "owned list reached {longest} entries");
+    }
+
+    struct Here;
+    impl Action for Here {
+        const NAME: &'static str = "process-test/here";
+        type Args = ();
+        type Out = u64;
+        fn execute(ctx: &mut Ctx<'_>, _t: Gid, _: ()) -> u64 {
+            u64::from(ctx.here().0)
+        }
+    }
+
+    #[test]
+    fn broadcast_only_process_keeps_the_owned_list_bounded() {
+        let rt = crate::runtime::RuntimeBuilder::new(crate::runtime::Config::small(2, 1))
+            .register::<Here>()
+            .build()
+            .unwrap();
+        // Live (root token held) and touching both localities.
+        let proc = rt.create_process(LocalityId(0));
+        proc.spawn_at(&rt, LocalityId(1), |_ctx| {});
+        for _ in 0..3_000 {
+            let fut = proc
+                .broadcast::<Here>(
+                    &rt,
+                    &(),
+                    &0u64,
+                    Box::new(|a, b| {
+                        let x: u64 = a.decode().unwrap();
+                        let y: u64 = b.decode().unwrap();
+                        Value::encode(&(x + y)).unwrap()
+                    }),
+                )
+                .unwrap();
+            let got = fut.wait_timeout(&rt, std::time::Duration::from_secs(10));
+            assert!(matches!(got, Ok(Some(0 | 1))), "{got:?}");
+        }
+        let owned = rt.inner().process_table.read()[&proc.gid()]
+            .owned_lcos
+            .lock()
+            .list
+            .len();
+        assert!(owned <= 1024, "{owned} reductions still owned");
+        rt.shutdown();
     }
 
     #[test]

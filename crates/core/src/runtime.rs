@@ -1403,35 +1403,18 @@ impl<'a> Ctx<'a> {
     /// Record an LCO created by a process thread in the owning process so
     /// cancellation can poison it. No-op outside a process.
     fn own_lco(&self, gid: Gid) {
-        const PRUNE_EVERY: usize = 1024;
         if let Some(pg) = self.process {
             let p = self.rt.process_table.read().get(&pg).cloned();
             if let Some(p) = p {
-                match p.note_owned_lco(gid) {
-                    None => {
-                        // The process was cancelled concurrently — poison
-                        // the fresh LCO now so its waiters cannot hang.
-                        let fault = p.cancel_fault();
-                        let loc = self.rt.locality(gid.birthplace());
-                        let trace = self.trace;
-                        let _ = crate::sched::lco_sys_op(self.rt, loc, gid, trace, move |l| {
-                            Ok(l.poison(fault))
-                        });
-                    }
-                    // Periodic compaction: drop entries whose LCO already
-                    // fired (or left its store) so a long-lived process —
-                    // the multi-tenant parent — tracks only LCOs a cancel
-                    // could still affect, not every future it ever made.
-                    Some(len) if len.is_multiple_of(PRUNE_EVERY) => {
-                        p.prune_owned_lcos(|g| match self.rt.locality(g.birthplace()).get(*g) {
-                            Some(crate::locality::Stored::Lco(l)) => {
-                                let l = l.lock();
-                                !l.is_ready() && !l.is_poisoned()
-                            }
-                            _ => false,
-                        });
-                    }
-                    Some(_) => {}
+                if !p.own_lco(self.rt, gid) {
+                    // The process was cancelled concurrently — poison
+                    // the fresh LCO now so its waiters cannot hang.
+                    let fault = p.cancel_fault();
+                    let loc = self.rt.locality(gid.birthplace());
+                    let trace = self.trace;
+                    let _ = crate::sched::lco_sys_op(self.rt, loc, gid, trace, move |l| {
+                        Ok(l.poison(fault))
+                    });
                 }
             }
         }

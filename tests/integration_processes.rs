@@ -239,6 +239,59 @@ fn healthy_workloads_report_zero_cancellations() {
     rt.shutdown();
 }
 
+#[test]
+fn cancel_after_many_compactions_poisons_exactly_the_pending_futures() {
+    const N: u64 = 5_000;
+    let rt = rt(1);
+    let proc = rt.create_process(LocalityId(0));
+    // One slot per future: `Some(Ok(v))` fired, `Some(Err(cause))` faulted.
+    type Outcome = Option<Result<u64, FaultCause>>;
+    let outcomes: Arc<std::sync::Mutex<Vec<Outcome>>> =
+        Arc::new(std::sync::Mutex::new(vec![None; N as usize]));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let out = outcomes.clone();
+    proc.spawn_at(&rt, LocalityId(0), move |ctx| {
+        // Fire every other future as it is made, so the owned list
+        // crosses its compaction threshold many times and each
+        // compaction has fired entries to drop.
+        let futs: Vec<FutureRef<u64>> = (0..N)
+            .map(|i| {
+                let fut = ctx.new_future::<u64>();
+                if i.is_multiple_of(2) {
+                    ctx.set_future(fut, &i).unwrap();
+                }
+                fut
+            })
+            .collect();
+        for (i, fut) in futs.into_iter().enumerate() {
+            let out = out.clone();
+            ctx.when_resolved(fut, move |_ctx, r| {
+                out.lock().unwrap()[i] = Some(r.map_err(|e| match e {
+                    PxError::Fault(f) => f.cause,
+                    other => panic!("unexpected error {other}"),
+                }));
+            });
+        }
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(BOUND).unwrap();
+    proc.cancel(&rt);
+    let t0 = std::time::Instant::now();
+    while outcomes.lock().unwrap().iter().any(Option::is_none) {
+        assert!(t0.elapsed() < BOUND, "a future never resolved");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for (i, o) in outcomes.lock().unwrap().iter().enumerate() {
+        let i = i as u64;
+        if i.is_multiple_of(2) {
+            assert_eq!(*o, Some(Ok(i)), "fired future {i} lost its value");
+        } else {
+            assert_eq!(*o, Some(Err(FaultCause::Cancelled)), "future {i}");
+        }
+    }
+    rt.shutdown();
+}
+
 // ---- process-scoped namespaces ---------------------------------------------
 
 #[test]
