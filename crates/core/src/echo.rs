@@ -208,18 +208,15 @@ where
     T: DeserializeOwned + 'static,
     K: FnOnce(&mut Ctx<'_>, PxResult<CommitOutcome<T>>) + Send + 'static,
 {
-    // Local future receives the root's reply.
-    let reply = ctx.locality().new_future_lco();
     let mut w = WireWriter::with_capacity(8);
     w.put_u64(used_version);
     let p = Parcel::new(
         root,
         sys::ECHO_VALIDATE,
         Value::from_bytes(w.into_bytes()),
-        Continuation::set(reply),
+        Continuation::none(),
     );
-    ctx.rt_inner().send_parcel(ctx.here(), p);
-    ctx.when_ready(reply, move |ctx, v| {
+    let resume = ctx.suspend(move |ctx, v| {
         let outcome = match v.fault() {
             // The validation parcel died; the death was counted and
             // dead-lettered where it was raised, and k observes it here.
@@ -228,6 +225,7 @@ where
         };
         k(ctx, outcome);
     });
+    crate::sched::request_then(ctx.rt_inner(), ctx.locality(), p, None, resume);
     Ok(())
 }
 
@@ -238,18 +236,9 @@ pub fn commit_blocking<T: DeserializeOwned + 'static>(
     root: Gid,
     used_version: u64,
 ) -> PxResult<CommitOutcome<T>> {
-    let inner = rt.inner();
-    let reply = inner.locality(from).new_future_lco();
     let mut w = WireWriter::with_capacity(8);
     w.put_u64(used_version);
-    let p = Parcel::new(
-        root,
-        sys::ECHO_VALIDATE,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::set(reply),
-    );
-    inner.send_parcel(from, p);
-    let v: Value = rt.wait_value(reply)?;
+    let v = rt.sys_rpc(from, root, sys::ECHO_VALIDATE, w.into_bytes())?;
     decode_validation::<T>(&v)
 }
 

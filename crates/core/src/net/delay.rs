@@ -23,7 +23,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub(crate) struct Pending<T> {
     at: Instant,
@@ -148,12 +148,13 @@ fn delay_loop<T: Send>(rx: Receiver<Pending<T>>, sink: Arc<dyn Fn(T) + Send + Sy
             let p = heap.pop().unwrap();
             sink(p.msg);
         }
-        // Wait for the next due time or the next submission.
-        let wait = heap
-            .peek()
-            .map(|p| p.at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
+        // Wait for the next due time or the next submission; with
+        // nothing pending, sleep until a submission or the close.
+        let got = match heap.peek() {
+            Some(p) => rx.recv_timeout(p.at.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match got {
             Ok(mut p) => {
                 seq += 1;
                 p.seq = seq;
@@ -186,6 +187,7 @@ fn delay_loop<T: Send>(rx: Receiver<Pending<T>>, sink: Arc<dyn Fn(T) + Send + Sy
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn instant_line_delivers_inline() {

@@ -756,7 +756,7 @@ struct PeerIo {
     /// Reconnect attempts left in the current failure episode
     /// (unlimited during bootstrap — the barrier deadline bounds it).
     attempts_left: u32,
-    /// Guards stale `ConnectTimeout` timers across attempts.
+    /// Connect attempts: guards stale timers, spaces bootstrap retries.
     attempt_seq: u64,
     /// Outbound half of the bootstrap barrier: hello fully flushed once.
     hello_done: bool,
@@ -786,6 +786,14 @@ enum TimerKind {
     Bootstrap,
     /// Shutdown stops draining and counts the leftovers.
     Drain,
+}
+
+/// Spacing of the next connect while bootstrapping, after `attempts`
+/// refused ones. Peers boot in any order and a listener not up yet
+/// usually is soon: start at 250 µs, double up to [`CONNECT_RETRY`].
+fn bootstrap_retry_delay(attempts: u64) -> Duration {
+    let doublings = attempts.saturating_sub(1).min(16) as u32;
+    (Duration::from_micros(250) * (1 << doublings)).min(CONNECT_RETRY)
 }
 
 struct IoLoop {
@@ -1025,7 +1033,8 @@ impl IoLoop {
         if bootstrapping {
             // The barrier deadline bounds bootstrap; retries are free.
             io.conn = Conn::Backoff;
-            self.arm_timer(Instant::now() + CONNECT_RETRY, TimerKind::Retry(j));
+            let delay = bootstrap_retry_delay(io.attempt_seq);
+            self.arm_timer(Instant::now() + delay, TimerKind::Retry(j));
             return;
         }
         if io.attempts_left > 0 {
@@ -1685,6 +1694,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         drop(a);
+    }
+
+    #[test]
+    fn bootstrap_retries_back_off_from_250us_to_the_connect_retry() {
+        let delays: Vec<u128> = (1..=10)
+            .map(|n| bootstrap_retry_delay(n).as_micros())
+            .collect();
+        assert_eq!(
+            delays,
+            [250, 500, 1_000, 2_000, 4_000, 8_000, 16_000, 25_000, 25_000, 25_000]
+        );
+        assert_eq!(bootstrap_retry_delay(u64::MAX), CONNECT_RETRY);
     }
 
     #[test]

@@ -812,7 +812,9 @@ impl Runtime {
     }
 
     /// [`Runtime::cluster_metrics`] with a per-reply timeout: `Ok(None)`
-    /// when any rank's reply did not arrive in time.
+    /// when any rank's reply did not arrive in time. A pull that timed
+    /// out keeps its reply future, so a late reply still lands in it
+    /// instead of dying as an error; only answered pulls are freed.
     pub fn cluster_metrics_timeout(
         &self,
         timeout: Duration,
@@ -828,39 +830,18 @@ impl Runtime {
         if self.inner.distributed() {
             let own = self.inner.origin;
             per_rank.push((own.0, self.inner.local_metrics_snapshot()));
-            // Issue every pull before waiting on any reply so the pulls
-            // fan out concurrently: the total wait is one round trip,
-            // not one per rank.
-            let mut pending = Vec::new();
-            for i in 0..self.inner.localities.len() {
-                let id = LocalityId(i as u16);
-                if id == own {
-                    continue;
-                }
-                let gid = self.inner.locality(own).new_future_lco();
-                let p = Parcel::new(
-                    Gid::locality_root(id),
-                    sys::METRICS_PULL,
-                    Value::from_bytes(Vec::new()),
-                    Continuation::set(gid),
-                );
-                self.inner.send_parcel(own, p);
-                pending.push((id, gid));
-            }
-            for (id, gid) in pending {
-                let loc = self.inner.locality(own);
-                let lco = loc.get_lco(gid)?;
-                let slot = Arc::new(ExtSlot::default());
-                let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-                self.inner.schedule_activations(loc, acts);
-                let v = match timeout {
-                    None => slot.wait()?,
-                    Some(t) => match slot.wait_timeout(t)? {
-                        Some(v) => v,
-                        None => return Ok(None),
-                    },
-                };
-                per_rank.push((id.0, crate::metrics::MetricsSnapshot::decode(v.bytes())?));
+            let peers: Vec<u16> = (0..self.inner.localities.len() as u16)
+                .filter(|&i| i != own.0)
+                .collect();
+            let pulls = peers.iter().map(|&i| {
+                let root = Gid::locality_root(LocalityId(i));
+                Parcel::new(root, sys::METRICS_PULL, Value::unit(), Continuation::none())
+            });
+            let Some(replies) = self.request(own, pulls, timeout)? else {
+                return Ok(None);
+            };
+            for (i, v) in peers.into_iter().zip(replies) {
+                per_rank.push((i, crate::metrics::MetricsSnapshot::decode(v.bytes())?));
             }
             per_rank.sort_by_key(|&(r, _)| r);
         } else {
@@ -1037,12 +1018,9 @@ impl Runtime {
     /// becomes) *poisoned* — a parcel feeding it died — this returns
     /// [`PxError::Fault`] instead of blocking forever.
     pub fn wait_value(&self, gid: Gid) -> PxResult<Value> {
-        let loc = self.inner.locality(gid.birthplace());
-        let lco = loc.get_lco(gid)?;
-        let slot = Arc::new(ExtSlot::default());
-        let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-        self.inner.schedule_activations(loc, acts);
-        slot.wait()
+        Ok(self
+            .block_on(gid, None)?
+            .expect("unbounded wait cannot time out"))
     }
 
     /// Block until a typed future fires. A poisoned future surfaces as
@@ -1058,16 +1036,64 @@ impl Runtime {
         fut: FutureRef<T>,
         timeout: Duration,
     ) -> PxResult<Option<T>> {
-        let gid = fut.gid();
+        self.block_on(fut.gid(), Some(timeout))?
+            .map(|v| v.decode())
+            .transpose()
+    }
+
+    /// The one place an OS thread blocks on an LCO: register a single
+    /// external waiter on `gid` and wait for its value — at most
+    /// `timeout` when one is given (`Ok(None)` once it elapses). A
+    /// poisoned LCO surfaces as [`PxError::Fault`]. The LCO is kept.
+    fn block_on(&self, gid: Gid, timeout: Option<Duration>) -> PxResult<Option<Value>> {
         let loc = self.inner.locality(gid.birthplace());
         let lco = loc.get_lco(gid)?;
         let slot = Arc::new(ExtSlot::default());
         let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-        self.inner.schedule_activations(loc, acts);
-        match slot.wait_timeout(timeout)? {
-            Some(v) => Ok(Some(v.decode()?)),
-            None => Ok(None),
+        self.inner.schedule_activations_traced(loc, acts, None);
+        match timeout {
+            None => slot.wait().map(Some),
+            Some(t) => slot.wait_timeout(t),
         }
+    }
+
+    /// Driver-side request/reply. Sends every parcel from `from` with a
+    /// fresh reply future as its continuation — all before waiting on
+    /// any, so a fan-out costs one round trip, not one per request —
+    /// then blocks on the replies in order (at most `timeout` each).
+    /// Each reply future is freed once its value or fault is taken, so a
+    /// late or duplicate reply dies as a counted `HandlerError`. After a
+    /// timeout (`Ok(None)`) or a fault, the futures not yet taken stay:
+    /// their replies still land. A dead peer resolves its reply as
+    /// `Err(PxError::Fault)` through the transport dead-letter path.
+    pub(crate) fn request(
+        &self,
+        from: LocalityId,
+        parcels: impl IntoIterator<Item = Parcel>,
+        timeout: Option<Duration>,
+    ) -> PxResult<Option<Vec<Value>>> {
+        let loc = self.inner.locality(from);
+        let replies: Vec<Gid> = parcels
+            .into_iter()
+            .map(|mut p| {
+                let reply = loc.new_future_lco();
+                p.cont = Continuation::set(reply);
+                self.inner.send_parcel(from, p);
+                reply
+            })
+            .collect();
+        let mut values = Vec::with_capacity(replies.len());
+        for reply in replies {
+            let taken = self.block_on(reply, timeout);
+            if !matches!(taken, Ok(None)) {
+                loc.remove(reply);
+            }
+            match taken? {
+                Some(v) => values.push(v),
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(values))
     }
 
     // ---- data objects ------------------------------------------------------
@@ -1101,7 +1127,7 @@ impl Runtime {
                 // Re-homed between the two lookups: fall through to the
                 // parcel path (guard dropped first).
             }
-            let v = self.sys_rpc(gid, sys::DATA_GET, Vec::new())?;
+            let v = self.sys_rpc(self.inner.origin, gid, sys::DATA_GET, Vec::new())?;
             return v.decode::<Vec<u8>>();
         }
         let _guard = self.inner.agas.migration_guard();
@@ -1111,32 +1137,25 @@ impl Runtime {
         Ok(g.bytes.clone())
     }
 
-    /// Driver-side split-phase round trip: send a system parcel at `gid`
-    /// with a fresh future continuation and block the *driver* thread
-    /// (never a worker) on the reply. A dead peer resolves the future as
-    /// `Err(PxError::Fault)` through the transport dead-letter path.
-    fn sys_rpc(
+    /// One unbounded [`Runtime::request`]: a system parcel at `gid` from
+    /// `from`, blocking the *driver* thread (never a worker) on the reply.
+    pub(crate) fn sys_rpc(
         &self,
+        from: LocalityId,
         gid: Gid,
         action: crate::action::ActionId,
         payload: Vec<u8>,
     ) -> PxResult<Value> {
-        let own = self.inner.origin;
-        let loc = self.inner.locality(own);
-        let fut = loc.new_future_lco();
-        let mut p = Parcel::new(
+        let p = Parcel::new(
             gid,
             action,
             Value::from_bytes(payload),
-            Continuation::set(fut),
+            Continuation::none(),
         );
-        p.src = own;
-        self.inner.send_parcel(own, p);
-        let lco = loc.get_lco(fut)?;
-        let slot = Arc::new(ExtSlot::default());
-        let acts = lco.lock().add_waiter(Waiter::External(slot.clone()));
-        self.inner.schedule_activations(loc, acts);
-        slot.wait()
+        let replies = self.request(from, [p], None)?;
+        Ok(replies
+            .and_then(|mut r| r.pop())
+            .expect("one unbounded reply"))
     }
 
     /// Migrate a data object to `to`. In-process, the object is inserted
@@ -1161,7 +1180,7 @@ impl Runtime {
             let mut w = px_wire::WireWriter::new();
             w.put_u16(to.0);
             w.put_u8(0); // cause: manual
-            self.sys_rpc(gid, sys::AGAS_MIGRATE, w.into_bytes())?;
+            self.sys_rpc(self.inner.origin, gid, sys::AGAS_MIGRATE, w.into_bytes())?;
             return Ok(());
         }
         let from = self.inner.agas.authoritative_owner(gid);
@@ -1203,6 +1222,7 @@ impl Runtime {
             return local;
         }
         let v = self.sys_rpc(
+            self.inner.origin,
             Gid::locality_root(home),
             crate::sched::sys::NAME_LOOKUP,
             name.as_bytes().to_vec(),
@@ -1400,23 +1420,33 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Record an LCO created by a process thread in the owning process so
-    /// cancellation can poison it. No-op outside a process.
-    fn own_lco(&self, gid: Gid) {
-        if let Some(pg) = self.process {
-            let p = self.rt.process_table.read().get(&pg).cloned();
-            if let Some(p) = p {
-                if !p.own_lco(self.rt, gid) {
-                    // The process was cancelled concurrently — poison
-                    // the fresh LCO now so its waiters cannot hang.
-                    let fault = p.cancel_fault();
-                    let loc = self.rt.locality(gid.birthplace());
-                    let trace = self.trace;
-                    let _ = crate::sched::lco_sys_op(self.rt, loc, gid, trace, move |l| {
-                        Ok(l.poison(fault))
-                    });
-                }
-            }
+    /// Wrap `f` as this thread's depleted continuation: it resumes under
+    /// the same trace and, inside a process, as that process's work — a
+    /// suspended continuation keeps the process busy until it has run.
+    /// The matching completion is issued by the continuation itself:
+    /// when the LCO fires later, the generic waiter scheduling path has
+    /// no process context.
+    pub(crate) fn suspend(
+        &self,
+        f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
+    ) -> crate::lco::DepletedThread {
+        let trace = self.trace;
+        if let Some(p) = self.process {
+            self.rt.process_task_started(p, self.here());
+            Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
+                ctx.process = Some(p);
+                ctx.trace = trace.or(ctx.trace);
+                f(ctx, v);
+                let rt = ctx.rt.clone();
+                rt.process_task_done(p);
+            })
+        } else if let Some(trace) = trace {
+            Box::new(move |ctx: &mut Ctx<'_>, v: Value| {
+                ctx.trace = Some(trace);
+                f(ctx, v);
+            })
+        } else {
+            Box::new(f)
         }
     }
 
@@ -1457,7 +1487,7 @@ impl<'a> Ctx<'a> {
     /// process-owned: cancelling the process poisons it.
     pub fn new_future<T: Serialize + DeserializeOwned>(&mut self) -> FutureRef<T> {
         let gid = self.loc.new_future_lco();
-        self.own_lco(gid);
+        self.rt.own_lco(self.process, gid, self.trace);
         FutureRef::from_gid(gid)
     }
 
@@ -1467,7 +1497,7 @@ impl<'a> Ctx<'a> {
         let gid = self.loc.insert(GidKind::Lco, |gid| {
             Stored::Lco(Arc::new(Mutex::new(LcoCore::new_and_gate(gid, n))))
         });
-        self.own_lco(gid);
+        self.rt.own_lco(self.process, gid, self.trace);
         gid
     }
 
@@ -1477,7 +1507,7 @@ impl<'a> Ctx<'a> {
         let gid = self.loc.insert(GidKind::Lco, |gid| {
             Stored::Lco(Arc::new(Mutex::new(LcoCore::new_dataflow(gid, n, combine))))
         });
-        self.own_lco(gid);
+        self.rt.own_lco(self.process, gid, self.trace);
         gid
     }
 
@@ -1494,7 +1524,7 @@ impl<'a> Ctx<'a> {
                 gid, n, seed, fold,
             ))))
         });
-        self.own_lco(gid);
+        self.rt.own_lco(self.process, gid, self.trace);
         Ok(FutureRef::from_gid(gid))
     }
 
@@ -1504,7 +1534,7 @@ impl<'a> Ctx<'a> {
         let gid = self.loc.insert(GidKind::Lco, |gid| {
             Stored::Lco(Arc::new(Mutex::new(LcoCore::new_semaphore(gid, permits))))
         });
-        self.own_lco(gid);
+        self.rt.own_lco(self.process, gid, self.trace);
         gid
     }
 
@@ -1570,56 +1600,20 @@ impl<'a> Ctx<'a> {
     /// the LCO's value. For a *remote* LCO a local proxy future is created
     /// and the remote value is pulled with a `__sys/lco_get` parcel — the
     /// thread itself still suspends locally (threads serve one locality).
+    /// The proxy is freed when the thread resumes.
     pub fn when_ready(&mut self, gid: Gid, f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static) {
         if gid.birthplace() == self.here() && self.loc.contains(gid) {
-            let lco = match self.loc.get_lco(gid) {
-                Ok(l) => l,
-                Err(_) => return,
+            let Ok(lco) = self.loc.get_lco(gid) else {
+                return;
             };
-            if let Some(p) = self.process {
-                // The suspended continuation is still process work. The
-                // matching completion must be issued by the continuation
-                // itself: when the LCO fires later, the generic waiter
-                // scheduling path has no process context.
-                self.rt.process_task_started(p, self.here());
-                let proc = self.process;
-                let trace = self.trace;
-                let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(
-                    move |ctx: &mut Ctx<'_>, v: Value| {
-                        ctx.process = proc;
-                        ctx.trace = trace.or(ctx.trace);
-                        f(ctx, v);
-                        if let Some(pg) = proc {
-                            let rt = ctx.rt.clone();
-                            rt.process_task_done(pg);
-                        }
-                    },
-                )));
-                self.rt
-                    .schedule_activations_traced(self.loc, acts, self.trace);
-            } else if let Some(trace) = self.trace {
-                // The suspended continuation belongs to this trace even
-                // though the eventual trigger may be untraced.
-                let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(
-                    move |ctx: &mut Ctx<'_>, v: Value| {
-                        ctx.trace = Some(trace);
-                        f(ctx, v);
-                    },
-                )));
-                self.rt
-                    .schedule_activations_traced(self.loc, acts, self.trace);
-            } else {
-                let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(f)));
-                self.rt
-                    .schedule_activations_traced(self.loc, acts, self.trace);
-            }
+            let acts = lco.lock().add_waiter(Waiter::Depleted(self.suspend(f)));
+            self.rt
+                .schedule_activations_traced(self.loc, acts, self.trace);
         } else {
-            let proxy = self.loc.new_future_lco();
-            self.own_lco(proxy);
-            let mut p = Parcel::new(gid, sys::LCO_GET, Value::unit(), Continuation::set(proxy));
+            let mut p = Parcel::new(gid, sys::LCO_GET, Value::unit(), Continuation::none());
             p.trace = self.trace;
-            self.rt.send_parcel(self.here(), p);
-            self.when_ready(proxy, f);
+            let resume = self.suspend(f);
+            crate::sched::request_then(self.rt, self.loc, p, self.process, resume);
         }
     }
 
@@ -1691,17 +1685,10 @@ impl<'a> Ctx<'a> {
             self.rt
                 .schedule_activations_traced(self.loc, acts, self.trace);
         } else {
-            let proxy = self.loc.new_future_lco();
-            self.own_lco(proxy);
-            let mut p = Parcel::new(
-                sem,
-                sys::LCO_ACQUIRE,
-                Value::unit(),
-                Continuation::set(proxy),
-            );
+            let mut p = Parcel::new(sem, sys::LCO_ACQUIRE, Value::unit(), Continuation::none());
             p.trace = self.trace;
-            self.rt.send_parcel(self.here(), p);
-            self.when_ready(proxy, move |ctx, v| run_or_report(ctx, sem, v, f));
+            let resume = self.suspend(move |ctx, v| run_or_report(ctx, sem, v, f));
+            crate::sched::request_then(self.rt, self.loc, p, self.process, resume);
         }
     }
 
@@ -1790,6 +1777,7 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FaultCause;
 
     #[test]
     fn config_validation() {
@@ -2143,6 +2131,105 @@ mod tests {
             .wait_future_timeout(fut, Duration::from_millis(20))
             .unwrap();
         assert!(r.is_none());
+        rt.shutdown();
+    }
+
+    fn object_count_at(rt: &Runtime, loc: LocalityId) -> usize {
+        rt.run_blocking(loc, |ctx| ctx.locality().object_count())
+    }
+
+    /// Poll until `done` holds or a generous bound elapses.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let t0 = std::time::Instant::now();
+        while !done() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn remote_when_ready_frees_its_proxy_futures() {
+        const N: u32 = 10_000;
+        fn step(ctx: &mut Ctx<'_>, remote: Gid, done: FutureRef<u32>, left: u32) {
+            if left == 0 {
+                ctx.set_future(done, &N).unwrap();
+                return;
+            }
+            ctx.when_ready(remote, move |ctx, _| step(ctx, remote, done, left - 1));
+        }
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let remote = rt.new_future::<u64>(LocalityId(1));
+        rt.set_future(remote, &7).unwrap();
+        let done = rt.new_future::<u32>(LocalityId(0));
+        let before = object_count_at(&rt, LocalityId(0));
+        rt.spawn_at(LocalityId(0), move |ctx| step(ctx, remote.gid(), done, N));
+        assert_eq!(rt.wait_future(done).unwrap(), N);
+        assert_eq!(
+            object_count_at(&rt, LocalityId(0)),
+            before,
+            "{N} sequential remote when_ready calls must free every proxy"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn late_set_to_a_freed_reply_dies_as_a_counted_handler_error() {
+        let faults = Arc::new(Mutex::new(Vec::<Fault>::new()));
+        let sink = faults.clone();
+        let rt = RuntimeBuilder::new(Config::small(2, 1))
+            .on_dead_letter(move |f| sink.lock().push(f.clone()))
+            .build()
+            .unwrap();
+        let (l0, l1) = (LocalityId(0), LocalityId(1));
+        // GIDs are allocated in sequence, so the request's reply future is
+        // the one GID allocated between two marker futures.
+        let mark = rt.new_future::<u64>(l0).gid();
+        let v = rt
+            .sys_rpc(l0, Gid::locality_root(l1), sys::PING, vec![5])
+            .unwrap();
+        assert_eq!(v.bytes(), [5]);
+        let reply = Gid::new(l0, GidKind::Lco, mark.seq() + 1);
+        assert_eq!(rt.new_future::<u64>(l0).gid().seq(), mark.seq() + 2);
+        assert!(!rt.inner.locality(l0).contains(reply), "reply future freed");
+
+        let dead = |rt: &Runtime| rt.stats().total().dead_handler_error;
+        let base = dead(&rt);
+        // A late set on the reply's own locality...
+        rt.trigger(reply, &1u64).unwrap();
+        eventually("local late set counted", || dead(&rt) == base + 1);
+        // ...and one that arrives as a parcel from another locality.
+        rt.run_blocking(l1, move |ctx| ctx.trigger(reply, &2u64).unwrap());
+        eventually("remote late set counted", || dead(&rt) == base + 2);
+        let total = rt.stats().total();
+        assert_eq!(total.dead_hop_cap, 0, "no chase for a freed LCO");
+        assert_eq!(total.panics, 0);
+        let faults = std::mem::take(&mut *faults.lock());
+        assert_eq!(faults.len(), 2, "{faults:?}");
+        assert!(faults
+            .iter()
+            .all(|f| f.cause == FaultCause::HandlerError && f.dest == reply));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn timed_out_request_keeps_its_reply_future() {
+        let rt = RuntimeBuilder::new(Config::small(2, 1)).build().unwrap();
+        let (l0, l1) = (LocalityId(0), LocalityId(1));
+        let remote = rt.new_future::<u64>(l1);
+        let mark = rt.new_future::<u64>(l0).gid();
+        let get = Parcel::new(
+            remote.gid(),
+            sys::LCO_GET,
+            Value::unit(),
+            Continuation::none(),
+        );
+        let r = rt.request(l0, [get], Some(Duration::from_millis(20)));
+        assert!(matches!(r, Ok(None)), "{r:?}");
+        let reply = FutureRef::<u64>::from_gid(Gid::new(l0, GidKind::Lco, mark.seq() + 1));
+        // The late reply lands in the kept future instead of dying.
+        rt.set_future(remote, &9).unwrap();
+        assert_eq!(rt.wait_future(reply).unwrap(), 9);
+        assert_eq!(rt.stats().total().dead_parcels, 0);
         rt.shutdown();
     }
 }

@@ -655,10 +655,16 @@ fn run_parcel(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, local: &Worker<Task>,
             rt.route_parcel(loc.id, owner, fwd);
             return;
         }
-        // We are the authoritative owner but the object is absent: either
-        // it is mid-migration (retry; the wire acts as backoff) or it was
+        // We are the authoritative owner but the object is absent. LCOs
+        // never migrate, so a late event for a freed one dies at once. Other
+        // objects are mid-migration (retry; the wire acts as backoff) or
         // freed (bounded by MAX_HOPS, then dead).
-        retry_after_migration(rt, loc, p);
+        if p.dest.kind() == crate::gid::GidKind::Lco {
+            let msg = format!("LCO {} was freed", p.dest);
+            kill_parcel(rt, loc, p, FaultCause::HandlerError, msg);
+        } else {
+            retry_after_migration(rt, loc, p);
+        }
         return;
     }
     // Chase accounting: this parcel is home; record how far it wandered.
@@ -997,21 +1003,29 @@ fn send_dir_repair(
     rt.send_parcel(loc.id, p);
 }
 
-/// Create a future LCO at `loc` and register a depleted-thread waiter:
-/// `f` runs on a worker with the LCO's value once it fires (or with the
-/// fault once it is poisoned — transport kills poison the LCO through the
-/// dead parcel's continuation). This is the split-phase backbone of the
-/// directory protocols: no worker thread ever blocks on a remote ack.
-fn when_lco_ready(
+/// The split-phase request: send `p` from `loc` with a fresh reply future
+/// as its continuation; `f` resumes as a depleted thread with the reply,
+/// or with the fault once the request died. No worker blocks on a reply.
+/// `f` frees the future, so a late reply dies as a counted `HandlerError`.
+/// An `owner` process owns the future: cancelling it poisons the future.
+pub(crate) fn request_then(
     rt: &Arc<RuntimeInner>,
     loc: &Arc<Locality>,
+    mut p: Parcel,
+    owner: Option<Gid>,
     f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
-) -> Gid {
-    let fut = loc.new_future_lco();
-    let lco = loc.get_lco(fut).expect("future LCO just created");
-    let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(f)));
-    rt.schedule_activations(loc, acts);
-    fut
+) {
+    let reply = loc.new_future_lco();
+    rt.own_lco(owner, reply, p.trace);
+    let lco = loc.get_lco(reply).expect("reply future just created");
+    let resume = move |ctx: &mut Ctx<'_>, v: Value| {
+        ctx.locality().remove(reply);
+        f(ctx, v);
+    };
+    let acts = lco.lock().add_waiter(Waiter::Depleted(Box::new(resume)));
+    rt.schedule_activations_traced(loc, acts, p.trace);
+    p.cont = Continuation::set(reply);
+    rt.send_parcel(loc.id, p);
 }
 
 /// `__sys/agas_migrate` at the object's current resident rank. Same-rank
@@ -1096,7 +1110,18 @@ fn handle_agas_migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
         }
     };
     let Parcel { cont, trace, .. } = p;
-    let install_ack = when_lco_ready(rt, loc, move |ctx, v| {
+    let mut w = px_wire::WireWriter::new();
+    w.put_u64(gid.0);
+    w.put_u64(version);
+    w.put_len_bytes(&bytes);
+    let mut install = Parcel::new(
+        Gid::locality_root(to),
+        sys::DIR_INSTALL,
+        Value::from_bytes(w.into_bytes()),
+        Continuation::none(),
+    );
+    install.trace = trace;
+    request_then(rt, loc, install, None, move |ctx, v| {
         let rt = ctx.rt_inner().clone();
         let loc = ctx.locality().clone();
         if v.is_fault() {
@@ -1112,15 +1137,6 @@ fn handle_agas_migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
             finalize_cross_rank_migration(&rt, &loc, gid, to, cause, cont, trace);
             return;
         }
-        let update_ack = when_lco_ready(&rt, &loc, move |ctx, v| {
-            let rt = ctx.rt_inner().clone();
-            let loc = ctx.locality().clone();
-            if v.is_fault() {
-                fail_cross_rank_migration(&rt, &loc, gid, to, cont, v, trace);
-            } else {
-                finalize_cross_rank_migration(&rt, &loc, gid, to, cause, cont, trace);
-            }
-        });
         let mut w = px_wire::WireWriter::new();
         w.put_u64(gid.0);
         w.put_u16(to.0);
@@ -1129,23 +1145,19 @@ fn handle_agas_migrate(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
             Gid::locality_root(home),
             sys::DIR_UPDATE,
             Value::from_bytes(w.into_bytes()),
-            Continuation::set(update_ack),
+            Continuation::none(),
         );
         up.trace = trace;
-        rt.send_parcel(loc.id, up);
+        request_then(&rt, &loc, up, None, move |ctx, v| {
+            let rt = ctx.rt_inner().clone();
+            let loc = ctx.locality().clone();
+            if v.is_fault() {
+                fail_cross_rank_migration(&rt, &loc, gid, to, cont, v, trace);
+            } else {
+                finalize_cross_rank_migration(&rt, &loc, gid, to, cause, cont, trace);
+            }
+        });
     });
-    let mut w = px_wire::WireWriter::new();
-    w.put_u64(gid.0);
-    w.put_u64(version);
-    w.put_len_bytes(&bytes);
-    let mut install = Parcel::new(
-        Gid::locality_root(to),
-        sys::DIR_INSTALL,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::set(install_ack),
-    );
-    install.trace = trace;
-    rt.send_parcel(loc.id, install);
 }
 
 /// A cross-rank migration step died (transport fault to the destination
@@ -1323,7 +1335,16 @@ fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
         gid.0,
         u64::from(home.0),
     );
-    let ack = when_lco_ready(rt, loc, move |ctx, v| {
+    let mut w = px_wire::WireWriter::new();
+    w.put_u64(gid.0);
+    let mut lk = Parcel::new(
+        Gid::locality_root(home),
+        sys::DIR_LOOKUP,
+        Value::from_bytes(w.into_bytes()),
+        Continuation::none(),
+    );
+    lk.trace = trace;
+    request_then(rt, loc, lk, None, move |ctx, v| {
         let rt = ctx.rt_inner().clone();
         let loc = ctx.locality().clone();
         loc.metric_elapsed(crate::metrics::Instrument::DirLookup, stamp);
@@ -1350,16 +1371,6 @@ fn remote_dir_lookup(rt: &Arc<RuntimeInner>, loc: &Arc<Locality>, p: Parcel) {
         bump!(loc.counters.dir_repairs);
         rt.route_parcel(loc.id, owner, retry);
     });
-    let mut w = px_wire::WireWriter::new();
-    w.put_u64(gid.0);
-    let mut lk = Parcel::new(
-        Gid::locality_root(home),
-        sys::DIR_LOOKUP,
-        Value::from_bytes(w.into_bytes()),
-        Continuation::set(ack),
-    );
-    lk.trace = trace;
-    rt.send_parcel(loc.id, lk);
 }
 
 /// Record the trace event for a *successful* LCO trigger/contribute: a
@@ -1488,16 +1499,6 @@ impl RuntimeInner {
             p.trace = trace;
             self.send_parcel(from.id, p);
         }
-    }
-
-    /// Schedule LCO waiter activations at `loc` (the LCO's locality).
-    /// Untraced convenience wrapper.
-    pub(crate) fn schedule_activations(
-        self: &Arc<Self>,
-        loc: &Arc<Locality>,
-        acts: crate::lco::Activations,
-    ) {
-        self.schedule_activations_traced(loc, acts, None);
     }
 
     /// Schedule activations under the trace of the releasing event:
@@ -1652,6 +1653,20 @@ impl RuntimeInner {
         if let Some(p) = self.process_table.read().get(&gid) {
             p.note_touched(at);
             p.task_started();
+        }
+    }
+
+    /// Record `lco` as owned by `process` (no-op for `None`) so
+    /// cancellation can poison it. If the process was already cancelled,
+    /// poison `lco` now so its waiters cannot hang.
+    pub(crate) fn own_lco(self: &Arc<Self>, process: Option<Gid>, lco: Gid, trace: Option<u64>) {
+        let Some(p) = process.and_then(|pg| self.process_table.read().get(&pg).cloned()) else {
+            return;
+        };
+        if !p.own_lco(self, lco) {
+            let fault = p.cancel_fault();
+            let loc = self.locality(lco.birthplace());
+            let _ = lco_sys_op(self, loc, lco, trace, move |l| Ok(l.poison(fault)));
         }
     }
 

@@ -73,6 +73,11 @@ fn build_rt(rank: u16, addrs: Vec<String>, batched: bool, traced: bool, metered:
         .unwrap()
 }
 
+/// Objects resident at rank 0, read on one of its workers.
+fn object_count_at_rank0(rt: &Runtime) -> usize {
+    rt.run_blocking(LocalityId(0), |ctx| ctx.locality().object_count())
+}
+
 fn spawn_child(mode: &str, addrs: &[String]) -> Child {
     spawn_child_at(mode, addrs, 1)
 }
@@ -496,6 +501,19 @@ fn cross_rank_migrate_data_round_trip() {
         .expect("inbound migration");
     assert_eq!(rt.read_data(gid).expect("local read"), payload);
 
+    // Every blocking round trip and every split-phase migration step
+    // frees the reply future it created: rank 0's store is back where it
+    // started after 1 000 more moves there and back, each with a read.
+    let before = object_count_at_rank0(&rt);
+    for _ in 0..1_000 {
+        rt.migrate_data(gid, LocalityId(1))
+            .expect("outbound migration");
+        assert_eq!(rt.read_data(gid).expect("remote read"), payload);
+        rt.migrate_data(gid, LocalityId(0))
+            .expect("inbound migration");
+    }
+    assert_eq!(object_count_at_rank0(&rt), before, "reply futures leaked");
+
     let stats = rt.stats();
     assert!(
         stats.migrations_manual >= 1,
@@ -539,6 +557,12 @@ fn process_scoped_names_resolve_across_ranks() {
     assert!(full.starts_with("/proc/"), "process-scoped path: {full}");
     let got = rt.lookup_name(full).expect("name resolves from rank 0");
     assert_eq!(got, expect);
+    // Each remote lookup frees its reply future.
+    let before = object_count_at_rank0(&rt);
+    for _ in 0..1_000 {
+        assert_eq!(rt.lookup_name(full).expect("repeat lookup"), expect);
+    }
+    assert_eq!(object_count_at_rank0(&rt), before, "reply futures leaked");
     assert_eq!(got.birthplace(), LocalityId(1), "bound at the child rank");
     let (prefix, _) = full.rsplit_once('/').expect("scoped path");
     match rt.lookup_name(&format!("{prefix}/absent")) {
